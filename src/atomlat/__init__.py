@@ -15,8 +15,6 @@ from .core import (
     Signature,
     SignedDuple,
     Term,
-    atom_union,
-    is_wider,
     pinning,
     zero_atom,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "SubdirectComponent",
     "Term",
     "TheorySlice",
-    "atom_union",
     "axiom_check",
     "check_consistency",
     "closure_oracle",
@@ -109,7 +106,6 @@ __all__ = [
     "holds",
     "is_freer",
     "is_redundant",
-    "is_wider",
     "join",
     "lower_atomic_segment",
     "model_from_json",

@@ -63,13 +63,14 @@ def _load_model(path: str, cap: int, reduce_policy: str = "after_each") -> Model
     """Load a model document or build one from a script.
 
     A script whose deny lines are entailed by its own build is rejected as
-    inconsistent input.
+    inconsistent input. Its ``show`` lines print nothing here, so that a
+    command's output is its result alone; ``check`` prints them.
     """
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         return model_from_json(text)
     script = parse_script(text)
-    model, verdicts = run_script(script, reduce_policy, emit=print, cap=cap)
+    model, verdicts = run_script(script, reduce_policy, cap=cap)
     failures = [
         format_duple(script.sig, denial.duple)
         for denial, entailed in verdicts

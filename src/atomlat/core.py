@@ -186,16 +186,6 @@ class SignedDuple:
         return Duple(self.left, self.right)
 
 
-def atom_union(phi: Atom, psi: Atom) -> Atom:
-    """The atom below exactly the constants either argument is below."""
-    return phi.union(psi)
-
-
-def is_wider(phi: Atom, eta: Atom) -> bool:
-    """True iff eta's upper segment is a proper subset of phi's."""
-    return phi.wider_than(eta)
-
-
 def zero_atom(sig: Signature) -> Atom:
     """The atom below every constant of the signature."""
     return Atom(sig.full_mask)
@@ -221,6 +211,20 @@ def pinning(phi: Atom, sig: Signature) -> tuple[Term, tuple[SignedDuple, ...]]:
     return pin, duples
 
 
-def canonical_key(value: Atom | Term) -> tuple[int, ...]:
-    """Sort key for the canonical order: lexicographic on sorted index lists."""
-    return value.indices()
+_KEY_DIGITS = str.maketrans("01", "10")
+
+
+def canonical_key(value: Atom | Term) -> str:
+    """Sort key for the canonical order: lexicographic on sorted index lists.
+
+    The key spells the bits from index 0 up to the highest set one, a set bit
+    as ``0`` and a clear one as ``1``. Where two keys first differ, the value
+    with the bit set has the smaller next index, and a key that ends first
+    belongs to a prefix of the other index list, so string order is the
+    index-list order without building the lists.
+
+    >>> sig = Signature.of("a b c")
+    >>> [a.label(sig) for a in sorted(map(sig.atom, ["c", "a b c", "b", "a"]), key=canonical_key)]
+    ['a', 'a b c', 'b', 'c']
+    """
+    return bin(value.mask)[:1:-1].translate(_KEY_DIGITS)

@@ -4,18 +4,26 @@ Crossing a positive duple replaces the atoms that falsify it (the
 discriminant) with their unions against every atom below the right-hand term.
 Iterating over a list of duples, starting from the singleton atoms, builds
 the freest model of those sentences; which is also how consistency of a mixed
-positive/negative sentence set is decided.
+positive/negative sentence set is decided. On a reduced model,
+:func:`fused_crossing` yields the reduced result of one such step without
+building the whole union grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .core import Atom, Duple, Signature, Term
+from .core import Atom, Duple, Signature, canonical_key
 from .errors import SignatureMismatch
-from .model import Model, discriminant, holds, new_model, reduce
+from .model import AtomColumns, Model, holds, new_model, reduce
 
 REDUCE_POLICIES = ("after_each", "at_end", "never")
+
+
+def _require_in_sig(model: Model, r: Duple):
+    if (r.left.mask | r.right.mask) & ~model.sig.full_mask:
+        raise SignatureMismatch("duple uses constants outside the model's signature")
 
 
 def full_crossing(model: Model, r: Duple) -> Model:
@@ -24,10 +32,9 @@ def full_crossing(model: Model, r: Duple) -> Model:
     If the duple already holds, the model is returned unchanged. Otherwise
     the discriminant atoms are replaced by their unions with every atom below
     the right term; duplicates produced by the union grid merge immediately.
+    This is the reference crossing: it works on any atom set, reduced or not.
     """
-    full = model.sig.full_mask
-    if (r.left.mask | r.right.mask) & ~full:
-        raise SignatureMismatch("duple uses constants outside the model's signature")
+    _require_in_sig(model, r)
     moved = {a.mask for a in model.atoms if a.mask & r.left.mask and not a.mask & r.right.mask}
     if not moved:
         return model
@@ -37,6 +44,82 @@ def full_crossing(model: Model, r: Duple) -> Model:
         for b in below_right:
             masks.add(h | b)
     return new_model(model.sig, (Atom(m) for m in masks))
+
+
+def fused_crossing(model: Model, r: Duple) -> Model:
+    """``reduce(full_crossing(model, r))`` for a reduced ``model``, exactly.
+
+    Two facts from the witness argument in :func:`atomlat.model.reduce` let
+    this skip most of the union grid:
+
+    - every atom of a reduced model that the crossing keeps stays
+      non-redundant, so only the new unions ``h | b`` need a check;
+    - only the inclusion-minimal atoms ``b`` below the right term need to be
+      unioned: for b1 ⊊ b2 the atom ``h | b2 = (h | b1) | b2`` is redundant
+      or a duplicate, and dropping a redundant atom before :func:`reduce`
+      changes no other atom's verdict.
+
+    The result covers every constant the model covers: each removed
+    discriminant atom ``h`` is replaced by unions ``h | b ⊇ h``, and a union
+    dropped as redundant is itself a union of atoms that are kept. On a model
+    that is not reduced the result can differ from the reference; use
+    ``reduce(full_crossing(model, r))`` there.
+    """
+    _require_in_sig(model, r)
+    left, right = r.left.mask, r.right.mask
+    kept, moved, below = [], [], []
+    for atom in model.atoms:
+        mask = atom.mask
+        if mask & right:
+            below.append(mask)
+        elif mask & left:
+            moved.append(mask)
+            continue
+        kept.append(atom)
+    if not moved:
+        return model
+    below_index = AtomColumns(below)
+    minimal = [b for b in below if not below_index.narrower(b)]
+    survivors = [atom.mask for atom in kept]
+    unions = list({h | b for h in moved for b in minimal}.difference(survivors))
+    index = AtomColumns(survivors + unions)
+    kept.extend(Atom(u) for u in unions if not index.redundant(u))
+    return Model(model.sig, tuple(sorted(kept, key=canonical_key)))
+
+
+def cross_positives(
+    model: Model,
+    positives: Iterable[Duple],
+    reduce_policy: str = "after_each",
+    on_step: Callable[[int, Model], None] | None = None,
+) -> Model:
+    """Cross the positive duples into ``model`` in order, under a reduce policy.
+
+    ``on_step(k, current)`` sees the model after the first ``k`` duples,
+    starting at ``k = 0``. Under ``after_each`` a step is
+    :func:`fused_crossing` once the model is known to be reduced: from the
+    start if it already is, otherwise after the first step, which runs on the
+    reference path ``reduce(full_crossing(...))``.
+    """
+    if reduce_policy not in REDUCE_POLICIES:
+        raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
+    eager = reduce_policy == "after_each"
+    reduced = eager and reduce(model) is model
+    if on_step is not None:
+        on_step(0, model)
+    for k, r in enumerate(positives, start=1):
+        if reduced:
+            model = fused_crossing(model, r)
+        else:
+            model = full_crossing(model, r)
+            if eager:
+                model = reduce(model)
+                reduced = True
+        if on_step is not None:
+            on_step(k, model)
+    if reduce_policy == "at_end":
+        model = reduce(model)
+    return model
 
 
 def freest_model(
@@ -50,16 +133,8 @@ def freest_model(
     only controls when redundant atoms are dropped; the semilattice itself is
     independent of it, and of the duple order.
     """
-    if reduce_policy not in REDUCE_POLICIES:
-        raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
-    model = new_model(sig, (Atom(1 << i) for i in range(len(sig))))
-    for r in positives:
-        model = full_crossing(model, r)
-        if reduce_policy == "after_each":
-            model = reduce(model)
-    if reduce_policy == "at_end":
-        model = reduce(model)
-    return model
+    singletons = new_model(sig, (Atom(1 << i) for i in range(len(sig))))
+    return cross_positives(singletons, positives, reduce_policy)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Atom, Duple, Signature, SignedDuple, Term, bit_indices, canonical_key, zero_atom
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
@@ -121,19 +121,89 @@ def is_redundant(model: Model, phi: Atom) -> bool:
     return cover == phi.mask
 
 
+class AtomColumns:
+    """Distinct atom masks in transposed form, for subset tests in bulk.
+
+    ``columns[i]`` is the bitset of the positions of the atoms below constant
+    ``i``, the per-constant index :func:`segment_signatures` also builds. The
+    atoms inside a mask are then the positions that no column of a constant
+    outside the mask reaches, so a whole redundancy test is one pass of
+    bitwise operations over the constants instead of a loop over atom pairs.
+    """
+
+    def __init__(self, masks: Sequence[int]):
+        self.position = {mask: pos for pos, mask in enumerate(masks)}
+        self.everything = (1 << len(masks)) - 1
+        union = 0
+        for mask in masks:
+            union |= mask
+        self.union = union
+        # Transpose through text: the binary digits of the masks, last
+        # position first, so that every width-th digit from the one for
+        # constant i spells column i with position 0 as its lowest bit.
+        width = union.bit_length()
+        spec = f"0{width}b"
+        digits = "".join([format(mask, spec) for mask in reversed(masks)])
+        self.columns = [int(digits[width - 1 - i :: width], 2) for i in range(width)]
+
+    def narrower(self, mask: int) -> int:
+        """The bitset of the positions of the atoms strictly narrower than ``mask``."""
+        columns = self.columns
+        outside = 0
+        rest = self.union & ~mask
+        while rest:
+            low = rest & -rest
+            outside |= columns[low.bit_length() - 1]
+            rest ^= low
+        inside = self.everything & ~outside
+        pos = self.position.get(mask)
+        return inside if pos is None else inside & ~(1 << pos)
+
+    def redundant(self, mask: int) -> bool:
+        """:func:`is_redundant` for ``mask`` against the indexed atoms."""
+        if mask & ~self.union:
+            return False
+        below = self.narrower(mask)
+        columns = self.columns
+        while mask:
+            low = mask & -mask
+            if not columns[low.bit_length() - 1] & below:
+                return False
+            mask ^= low
+        return True
+
+
 def reduce(model: Model) -> Model:
     """The unique non-redundant atomization of the same semilattice.
 
     Every atom redundant against the full original atom set is dropped in one
-    simultaneous pass; the witnesses of a non-redundant atom are themselves
-    non-redundant, so they survive the drop.
+    simultaneous pass. This is sound because of a witness argument: the
+    witnesses of a redundant atom are strictly narrower, and each of them is
+    either non-redundant or, in turn, a union of strictly narrower atoms, so
+    every redundant atom is a union of non-redundant ones and the kept atoms
+    still generate everything that is dropped. Two facts about crossing
+    follow, which :func:`atomlat.crossing.fused_crossing` uses:
+
+    - crossing a reduced model leaves every atom it does not replace
+      non-redundant: a witness ``h | b`` of such an atom can be traded for its
+      own parts ``h`` and ``b``, which are strictly narrower atoms of the
+      model before crossing, so the atom would already have been redundant;
+    - for atoms b1 ⊊ b2 below the right term, ``h | b2 = (h | b1) | b2``
+      is redundant or a duplicate, so only the inclusion-minimal atoms below
+      the right term need to be unioned.
+
+    The test runs on :class:`AtomColumns`, one bitset per constant over the
+    atom positions; :func:`is_redundant` stays the single-atom definition.
+
+    >>> sig = Signature.of("a b")
+    >>> reduce(new_model(sig, [sig.atom("a"), sig.atom("b"), sig.atom("a b")])).atoms
+    (Atom((0,)), Atom((1,)))
     """
-    kept = tuple(
-        atom for atom in model.atoms if not is_redundant(model, atom)
-    )
-    if kept == model.atoms:
+    index = AtomColumns(list(dict.fromkeys(atom.mask for atom in model.atoms)))
+    dropped = {mask for mask in index.position if index.redundant(mask)}
+    if not dropped:
         return model
-    return Model(model.sig, kept)
+    return Model(model.sig, tuple(atom for atom in model.atoms if atom.mask not in dropped))
 
 
 def union_model(a: Model, b: Model) -> Model:

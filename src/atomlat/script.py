@@ -29,7 +29,7 @@ from typing import Callable
 
 from .core import Atom, Duple, Signature, Term
 from .errors import ParseError, UndeclaredConstant, UnknownConstant
-from .crossing import REDUCE_POLICIES, full_crossing
+from .crossing import cross_positives
 from .model import (
     ENUM_CAP_DEFAULT,
     Model,
@@ -37,7 +37,6 @@ from .model import (
     enumerate_theory,
     holds,
     new_model,
-    reduce,
 )
 
 RESERVED_IN_NAMES = ("'", "#")
@@ -205,30 +204,38 @@ def _show(model: Model, section: str, emit: Callable[[str], None], cap: int):
 def run_script(
     script: Script,
     reduce_policy: str = "after_each",
-    emit: Callable[[str], None] = lambda line: None,
+    emit: Callable[[str], None] | None = None,
     cap: int = ENUM_CAP_DEFAULT,
 ) -> tuple[Model, tuple[tuple[Denial, bool], ...]]:
     """Execute a script: build the model, emit shows, evaluate denials.
 
     Returns the final model and, per denial, whether the built model entails
-    the denied sentence positively (an inconsistency).
+    the denied sentence positively (an inconsistency). ``show`` directives
+    are evaluated only when ``emit`` is given. Crossing runs through
+    :func:`atomlat.crossing.cross_positives`, so declared ``atom`` lines that
+    are not reduced meet the reference path first; a ``show`` before the
+    first ``assert``, and a script without one, see the declared atoms as
+    given.
     """
-    if reduce_policy not in REDUCE_POLICIES:
-        raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
     declared = script.atoms()
     if declared:
-        model = new_model(script.sig, declared)
+        start = new_model(script.sig, declared)
     else:
-        model = new_model(script.sig, (Atom(1 << i) for i in range(len(script.sig))))
+        start = new_model(script.sig, (Atom(1 << i) for i in range(len(script.sig))))
+    shows: dict[int, list[str]] = {}
+    crossed = 0
     for statement in script.statements:
         if isinstance(statement, Assertion):
-            model = full_crossing(model, statement.duple)
-            if reduce_policy == "after_each":
-                model = reduce(model)
+            crossed += 1
         elif isinstance(statement, ShowDirective):
-            _show(model, statement.section, emit, cap)
-    if reduce_policy == "at_end":
-        model = reduce(model)
+            shows.setdefault(crossed, []).append(statement.section)
+
+    def show(step: int, current: Model):
+        for section in shows.get(step, ()):
+            _show(current, section, emit, cap)
+
+    on_step = show if emit is not None and shows else None
+    model = cross_positives(start, script.positives(), reduce_policy, on_step=on_step)
     verdicts = tuple(
         (statement, holds(model, statement.duple.signed(True)))
         for statement in script.statements

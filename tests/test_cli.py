@@ -45,6 +45,19 @@ def test_build_reduces_by_default(tmp_path, capsys):
     assert len(doc["atoms"]) == 7
 
 
+def test_build_output_is_only_json_when_script_shows(tmp_path, capsys):
+    text = CROSS_SCRIPT + "show atoms\nassert b <= a d\nshow elements\n"
+    script = write(tmp_path, "m.al", text)
+    assert main(["build", script]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["atoms"]) == 7
+    assert main(["check", script]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:6] == ["atom a", "atom a b", "atom b e", "atom c", "atom c d e", "atom d"]
+    assert any(line.startswith("element ") for line in out)
+    assert out[-1] == "consistent"
+
+
 def test_build_never_policy_keeps_redundant_atom(tmp_path, capsys):
     script = write(tmp_path, "m.al", CROSS_SCRIPT + "assert b <= a d\n")
     assert main(["build", "--reduce", "never", script]) == 0

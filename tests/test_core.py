@@ -6,9 +6,7 @@ from atomlat.core import (
     Duple,
     Signature,
     Term,
-    atom_union,
     canonical_key,
-    is_wider,
     pinning,
     zero_atom,
 )
@@ -75,14 +73,14 @@ def test_duple_signing():
 
 
 def test_atom_union_golden():
-    assert atom_union(ABCDE.atom("a b"), ABCDE.atom("b c")) == ABCDE.atom("a b c")
-    assert atom_union(ABCDE.atom("a"), ABCDE.atom("a")) == ABCDE.atom("a")
+    assert ABCDE.atom("a b").union(ABCDE.atom("b c")) == ABCDE.atom("a b c")
+    assert ABCDE.atom("a").union(ABCDE.atom("a")) == ABCDE.atom("a")
 
 
 def test_is_wider_golden():
-    assert is_wider(ABCDE.atom("a b c"), ABCDE.atom("a c"))
-    assert not is_wider(ABCDE.atom("a c"), ABCDE.atom("a c"))
-    assert not is_wider(ABCDE.atom("a b"), ABCDE.atom("c"))
+    assert ABCDE.atom("a b c").wider_than(ABCDE.atom("a c"))
+    assert not ABCDE.atom("a c").wider_than(ABCDE.atom("a c"))
+    assert not ABCDE.atom("a b").wider_than(ABCDE.atom("c"))
 
 
 def test_zero_atom_spans_signature():
@@ -116,37 +114,37 @@ def test_pinning_rejects_zero_atom():
 
 @given(masks, masks)
 def test_union_is_commutative(x, y):
-    assert atom_union(Atom(x), Atom(y)) == atom_union(Atom(y), Atom(x))
+    assert Atom(x).union(Atom(y)) == Atom(y).union(Atom(x))
 
 
 @given(masks, masks, masks)
 def test_union_is_associative(x, y, z):
     a, b, c = Atom(x), Atom(y), Atom(z)
-    assert atom_union(atom_union(a, b), c) == atom_union(a, atom_union(b, c))
+    assert a.union(b).union(c) == a.union(b.union(c))
 
 
 @given(masks)
 def test_union_is_idempotent(x):
-    assert atom_union(Atom(x), Atom(x)) == Atom(x)
+    assert Atom(x).union(Atom(x)) == Atom(x)
 
 
 @given(masks, masks)
 def test_wider_is_strict(x, y):
     a, b = Atom(x), Atom(y)
-    if is_wider(a, b):
-        assert not is_wider(b, a)
+    if a.wider_than(b):
+        assert not b.wider_than(a)
         assert a != b
 
 
 @given(masks, masks, masks)
 def test_wider_is_transitive(x, y, z):
     a, b, c = Atom(x), Atom(y), Atom(z)
-    if is_wider(a, b) and is_wider(b, c):
-        assert is_wider(a, c)
+    if a.wider_than(b) and b.wider_than(c):
+        assert a.wider_than(c)
 
 
 @given(masks, masks)
 def test_wider_or_equal_means_union_absorbs(x, y):
     a, b = Atom(x), Atom(y)
-    absorbs = atom_union(a, b) == a
-    assert absorbs == (a == b or is_wider(a, b))
+    absorbs = a.union(b) == a
+    assert absorbs == (a == b or a.wider_than(b))
