@@ -47,6 +47,7 @@ from .algebra import (
     SubdirectComponent,
     embed_in_free,
     join,
+    map_atoms,
     product,
     quotient,
     rename,
@@ -108,6 +109,7 @@ __all__ = [
     "is_redundant",
     "join",
     "lower_atomic_segment",
+    "map_atoms",
     "model_from_json",
     "model_to_dict",
     "model_to_dot",

@@ -1,10 +1,10 @@
 """Structural constructions over atomized models.
 
-Everything here is built from two primitives: renaming constants (each source
-constant maps to a set of target constants, possibly empty, applied to every
-atom's upper segment) and full crossing. Restriction, quotients, joins,
-subalgebras, products, the embedding into a free model and the subdirect
-decomposition are all short compositions of those two.
+Everything here is built from two primitives: the atom image :func:`map_atoms`
+(each source constant maps to a set of target constants, possibly empty,
+applied to every atom's upper segment) and full crossing. Restriction,
+quotients, joins, subalgebras, products, the embedding into a free model and
+the subdirect decomposition are all short compositions of those two.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Atom, Duple, Signature, Term, bit_indices, zero_atom
+from .core import Atom, Duple, Signature, Term, bit_indices, mask_of, zero_atom
 from .errors import (
     EmptyRestrictionSet,
     NameCollision,
@@ -22,7 +22,7 @@ from .errors import (
     UnknownTargetConstant,
 )
 from .crossing import full_crossing
-from .model import Model, is_redundant, new_model, reduce
+from .model import Model, is_redundant, new_model, reduce, union_model
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +55,23 @@ class RenameMap:
         return cls(target, fixed)
 
 
+def map_atoms(model: Model, images: Sequence[int], target: Signature) -> Model:
+    """Send every atom to the union of the images of the constants above it.
+
+    ``images[i]`` is the mask, over ``target``, of the image of constant i.
+    Atoms whose image is empty vanish and equal images merge; a target
+    constant left uncovered gets the usual zero-atom repair and its warning.
+    """
+    atoms = []
+    for atom in model.atoms:
+        image = 0
+        for i in bit_indices(atom.mask):
+            image |= images[i]
+        if image:
+            atoms.append(Atom(image))
+    return new_model(target, atoms)
+
+
 def rename(model: Model, rmap: RenameMap) -> Model:
     """Apply a rename map to every atom's upper segment.
 
@@ -72,14 +89,7 @@ def rename(model: Model, rmap: RenameMap) -> Model:
         if name not in rmap.mapping:
             raise RenameMapIncomplete(f"no target set for constant {name!r}")
         image_masks.append(rmap.target.mask_of_names(rmap.mapping[name]))
-    atoms = []
-    for atom in model.atoms:
-        image = 0
-        for i in bit_indices(atom.mask):
-            image |= image_masks[i]
-        if image:
-            atoms.append(Atom(image))
-    return new_model(rmap.target, atoms)
+    return map_atoms(model, image_masks, rmap.target)
 
 
 def restrict(model: Model, keep: str | Iterable[str]) -> Model:
@@ -99,16 +109,10 @@ def restrict(model: Model, keep: str | Iterable[str]) -> Model:
 
 def _restrict_to_indices(model: Model, indices: list[int]) -> Model:
     sub_sig = Signature(tuple(model.sig.names[i] for i in indices))
-    positions = {old: new for new, old in enumerate(indices)}
-    atoms = []
-    for atom in model.atoms:
-        image = 0
-        for i in bit_indices(atom.mask):
-            if i in positions:
-                image |= 1 << positions[i]
-        if image:
-            atoms.append(Atom(image))
-    return new_model(sub_sig, atoms)
+    images = [0] * len(model.sig)
+    for new, old in enumerate(indices):
+        images[old] = 1 << new
+    return map_atoms(model, images, sub_sig)
 
 
 def quotient(model: Model, a: Term, b: Term) -> Model:
@@ -195,22 +199,11 @@ def subalgebra(
             raise UnknownConstant("generator term uses constants outside the signature")
 
     if route == "rename":
-        target = Signature(names)
-        image_masks = []
-        for k in range(len(model.sig)):
-            image = 0
-            for i, term in enumerate(generators):
-                if term.mask >> k & 1:
-                    image |= 1 << i
-            image_masks.append(image)
-        atoms = []
-        for atom in model.atoms:
-            image = 0
-            for i in bit_indices(atom.mask):
-                image |= image_masks[i]
-            if image:
-                atoms.append(Atom(image))
-        return new_model(target, atoms)
+        images = [0] * len(model.sig)
+        for i, term in enumerate(generators):
+            for k in bit_indices(term.mask):
+                images[k] |= 1 << i
+        return map_atoms(model, images, Signature(names))
 
     offset = len(model.sig)
     ext = Signature(model.sig.names + names)
@@ -234,35 +227,11 @@ def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:
     treated as disjoint; with ``identify_diagonal`` each shared c is glued
     back in by renaming "c*c" to c.
     """
-    n_count = len(n.sig)
-    pair_names = tuple(
-        f"{a}*{b}" for a in m.sig.names for b in n.sig.names
-    )
-    grid = Signature(pair_names)
-    row_masks = []
-    for i in range(len(m.sig)):
-        row = 0
-        for j in range(n_count):
-            row |= 1 << (i * n_count + j)
-        row_masks.append(row)
-    col_masks = []
-    for j in range(n_count):
-        col = 0
-        for i in range(len(m.sig)):
-            col |= 1 << (i * n_count + j)
-        col_masks.append(col)
-    atoms = []
-    for atom in m.atoms:
-        image = 0
-        for i in bit_indices(atom.mask):
-            image |= row_masks[i]
-        atoms.append(Atom(image))
-    for atom in n.atoms:
-        image = 0
-        for j in bit_indices(atom.mask):
-            image |= col_masks[j]
-        atoms.append(Atom(image))
-    result = new_model(grid, atoms)
+    width = len(n.sig)
+    grid = Signature(tuple(f"{a}*{b}" for a in m.sig.names for b in n.sig.names))
+    row_masks = [((1 << width) - 1) << (i * width) for i in range(len(m.sig))]
+    col_masks = [mask_of(i * width + j for i in range(len(m.sig))) for j in range(width)]
+    result = union_model(map_atoms(m, row_masks, grid), map_atoms(n, col_masks, grid))
     if not identify_diagonal:
         return result
     shared = [name for name in m.sig.names if name in n.sig]

@@ -178,10 +178,6 @@ def _cmd_check(args) -> int:
             )
             return EXIT_ERROR
         relation = closure_oracle(script.sig, script.positives(), args.cap)
-        for duple in script.positives():
-            if duple not in relation:
-                print("error: oracle disagrees on an asserted sentence", file=sys.stderr)
-                return EXIT_ERROR
         for denial, entailed in verdicts:
             if (denial.duple in relation) != entailed:
                 print(

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import Atom, Duple, Signature, canonical_key
-from .errors import SignatureMismatch
-from .model import AtomColumns, Model, holds, new_model, reduce
+from .model import AtomColumns, Model, _require_in_sig, holds, new_model, reduce
 
 REDUCE_POLICIES = ("after_each", "at_end", "never")
-
-
-def _require_in_sig(model: Model, r: Duple):
-    if (r.left.mask | r.right.mask) & ~model.sig.full_mask:
-        raise SignatureMismatch("duple uses constants outside the model's signature")
 
 
 def full_crossing(model: Model, r: Duple) -> Model:
@@ -34,7 +28,7 @@ def full_crossing(model: Model, r: Duple) -> Model:
     the right term; duplicates produced by the union grid merge immediately.
     This is the reference crossing: it works on any atom set, reduced or not.
     """
-    _require_in_sig(model, r)
+    _require_in_sig(model.sig, r.left.mask | r.right.mask)
     moved = {a.mask for a in model.atoms if a.mask & r.left.mask and not a.mask & r.right.mask}
     if not moved:
         return model
@@ -65,8 +59,8 @@ def fused_crossing(model: Model, r: Duple) -> Model:
     that is not reduced the result can differ from the reference; use
     ``reduce(full_crossing(model, r))`` there.
     """
-    _require_in_sig(model, r)
     left, right = r.left.mask, r.right.mask
+    _require_in_sig(model.sig, left | right)
     kept, moved, below = [], [], []
     for atom in model.atoms:
         mask = atom.mask

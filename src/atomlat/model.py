@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import Atom, Duple, Signature, SignedDuple, Term, bit_indices, canonical_key, zero_atom
+from .core import Atom, Duple, Signature, SignedDuple, Term, bit_indices, canonical_key
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 
 ENUM_CAP_DEFAULT = 10
@@ -52,11 +52,43 @@ class ElementClass:
 
 @dataclass(frozen=True)
 class TheorySlice:
-    """Every ordered pair of terms over the signature, classified."""
+    """The order on every term over the signature, one row bitset per term.
+
+    ``rows[s]`` has bit ``t`` set exactly when s <= t, for term masks s and
+    t; index 0 is unused. The negative theory is the complement, so it is
+    not stored. A duple tests with ``in``, ``len`` counts the positive pairs
+    and iteration yields them in canonical order of the left term, then of
+    the right term. The engine and the oracles all return this type, so they
+    agree exactly when their slices are equal.
+
+    >>> sig = Signature.of("a b")
+    >>> th = enumerate_theory(new_model(sig, [sig.atom("a"), sig.atom("b")]))
+    >>> [bin(row) for row in th.rows[1:]]
+    ['0b1010', '0b1100', '0b1000']
+    >>> len(th), Duple(sig.term("a b"), sig.term("a")) in th
+    (5, False)
+    >>> [f"{d.left.label(sig)} <= {d.right.label(sig)}" for d in th]
+    ['a <= a', 'a <= a b', 'a b <= a b', 'b <= a b', 'b <= b']
+    """
 
     sig: Signature
-    positives: frozenset[Duple]
-    negatives: frozenset[Duple]
+    rows: tuple[int, ...]
+
+    def __contains__(self, d: Duple) -> bool:
+        if (d.left.mask | d.right.mask) & ~self.sig.full_mask:
+            return False
+        return bool(self.rows[d.left.mask] >> d.right.mask & 1)
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for row in self.rows)
+
+    def __iter__(self) -> Iterator[Duple]:
+        order = sorted((Term(m) for m in range(1, len(self.rows))), key=canonical_key)
+        for s in order:
+            row = self.rows[s.mask]
+            for t in order:
+                if row >> t.mask & 1:
+                    yield Duple(s, t)
 
 
 def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:
@@ -94,8 +126,15 @@ def lower_atomic_segment(model: Model, t: Term) -> tuple[Atom, ...]:
     return tuple(atom for atom in model.atoms if atom.mask & t.mask)
 
 
+def _require_in_sig(sig: Signature, mask: int):
+    """Reject a duple whose terms, ``mask`` their union, leave the signature."""
+    if mask & ~sig.full_mask:
+        raise SignatureMismatch("duple uses constants outside the signature")
+
+
 def discriminant(model: Model, a: Term, b: Term) -> tuple[Atom, ...]:
     """The atoms below ``a`` but not below ``b``; empty iff a <= b holds."""
+    _require_in_sig(model.sig, a.mask | b.mask)
     return tuple(
         atom for atom in model.atoms if atom.mask & a.mask and not atom.mask & b.mask
     )
@@ -284,17 +323,25 @@ def enumerate_elements(model: Model, cap: int = ENUM_CAP_DEFAULT) -> tuple[Eleme
 
 
 def enumerate_theory(model: Model, cap: int = ENUM_CAP_DEFAULT) -> TheorySlice:
-    """Classify every ordered pair of terms over the signature."""
+    """The order on every term over the signature, as a :class:`TheorySlice`.
+
+    A constant's row holds the terms whose segment contains the constant's;
+    by linearity s <= t holds exactly when every constant of s is below t,
+    so each other row is the intersection of two rows built before it.
+    """
     _check_cap(model.sig, cap)
+    full = model.sig.full_mask
     segs = segment_signatures(model)
-    positives = []
-    negatives = []
-    for left in range(1, model.sig.full_mask + 1):
-        sl = segs[left]
-        for right in range(1, model.sig.full_mask + 1):
-            pair = Duple(Term(left), Term(right))
-            if sl & ~segs[right] == 0:
-                positives.append(pair)
-            else:
-                negatives.append(pair)
-    return TheorySlice(model.sig, frozenset(positives), frozenset(negatives))
+    rows = [0] * (full + 1)
+    for i in range(len(model.sig)):
+        seg = segs[1 << i]
+        row = 0
+        for t in range(1, full + 1):
+            if not seg & ~segs[t]:
+                row |= 1 << t
+        rows[1 << i] = row
+    for s in range(1, full + 1):
+        low = s & -s
+        if s != low:
+            rows[s] = rows[s ^ low] & rows[low]
+    return TheorySlice(model.sig, tuple(rows))

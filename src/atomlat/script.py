@@ -194,10 +194,7 @@ def _show(model: Model, section: str, emit: Callable[[str], None], cap: int):
             members = ", ".join(t.label(model.sig) for t in cls.terms)
             emit(f"element {cls.representative.label(model.sig)} {{ {members} }}")
     else:
-        theory = enumerate_theory(model, cap)
-        for duple in sorted(
-            theory.positives, key=lambda d: (d.left.indices(), d.right.indices())
-        ):
+        for duple in enumerate_theory(model, cap):
             emit(format_duple(model.sig, duple))
 
 

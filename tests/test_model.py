@@ -113,6 +113,15 @@ def test_holds_collapsed_pair():
     assert holds(m, Duple(b, a).signed(True))
 
 
+def test_holds_and_discriminant_reject_foreign_constants():
+    m = mk("a b", "a", "b")
+    foreign = Duple(Term(0b100), Term(0b01))
+    with pytest.raises(SignatureMismatch):
+        holds(m, foreign.signed(True))
+    with pytest.raises(SignatureMismatch):
+        discriminant(m, Term(0b01), Term(0b100))
+
+
 def test_is_redundant_golden():
     crossed = mk(
         "a b c d e", "a", "a b", "c d e", "c", "d", "a b e", "b c d e", "b d e"
@@ -208,8 +217,11 @@ def test_union_negative_theory_is_union_of_negatives():
     for _ in range(30):
         a = random_model(rng, "a b c")
         b = random_model(rng, "a b c")
-        neg = enumerate_theory(union_model(a, b)).negatives
-        assert neg == enumerate_theory(a).negatives | enumerate_theory(b).negatives
+        # a pair is negative where it is negative in either operand, that
+        # is, positive where both rows hold it
+        rows = enumerate_theory(union_model(a, b)).rows
+        both = [x & y for x, y in zip(enumerate_theory(a).rows, enumerate_theory(b).rows)]
+        assert list(rows) == both
 
 
 def test_is_freer_golden():
@@ -236,7 +248,8 @@ def test_is_freer_matches_negative_theory_inclusion():
         a = random_model(rng, "a b c")
         b = random_model(rng, "a b c")
         by_atoms = is_freer(a, b)
-        by_theory = enumerate_theory(b).negatives <= enumerate_theory(a).negatives
+        # the negatives of b lie among those of a: a's positives among b's
+        by_theory = set(enumerate_theory(a)) <= set(enumerate_theory(b))
         assert by_atoms == by_theory
 
 
@@ -278,22 +291,24 @@ def test_enumerate_elements_chain():
 def test_enumerate_theory_free_pair_is_containment():
     m = mk("a b", "a", "b")
     th = enumerate_theory(m)
-    for d in th.positives:
+    for d in th:
         assert d.left.mask | d.right.mask == d.right.mask
-    for d in th.negatives:
-        assert d.left.mask | d.right.mask != d.right.mask
+    for s in range(1, 4):
+        for t in range(1, 4):
+            if Duple(Term(s), Term(t)) not in th:
+                assert s | t != t
 
 
 def test_enumerate_theory_one_element_model():
     m = mk("a b", "a b")
     th = enumerate_theory(m)
-    assert len(th.positives) == 9
-    assert not th.negatives
+    assert len(th) == 9
+    assert all(Duple(Term(s), Term(t)) in th for s in range(1, 4) for t in range(1, 4))
 
 
 def test_enumerate_theory_golden_negative():
     th = enumerate_theory(CROSS_SOURCE)
-    assert Duple(ABCDE.term("b"), ABCDE.term("a d")) in th.negatives
+    assert Duple(ABCDE.term("b"), ABCDE.term("a d")) not in th
 
 
 def test_enumeration_cap():

@@ -186,6 +186,21 @@ def test_run_script_show_emits_positionally():
     assert lines.index("atom a") < lines.index("atom a b")
 
 
+def test_show_theory_lines_in_canonical_order():
+    lines = []
+    run_script(parse_script("constants a b c\nassert a <= b\nshow theory\n"),
+               emit=lines.append)
+    assert lines == [
+        "a <= a", "a <= a b", "a <= a b c", "a <= a c", "a <= b", "a <= b c",
+        "a b <= a b", "a b <= a b c", "a b <= b", "a b <= b c",
+        "a b c <= a b c", "a b c <= b c",
+        "a c <= a b c", "a c <= a c", "a c <= b c",
+        "b <= a b", "b <= a b c", "b <= b", "b <= b c",
+        "b c <= a b c", "b c <= b c",
+        "c <= a b c", "c <= a c", "c <= b c", "c <= c",
+    ]
+
+
 def test_show_atoms_output_is_reparseable():
     lines = []
     run_script(parse_script("constants a b\nassert a <= b\nshow atoms\n"),
