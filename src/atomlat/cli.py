@@ -9,6 +9,7 @@ sentences, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -200,7 +201,14 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call.
+
+    Building it costs more than a small job, so it is kept for the process;
+    ``parse_args`` leaves no state in it, so repeated calls with different
+    arguments see a fresh namespace each time.
+    """
     parser = argparse.ArgumentParser(
         prog="atomlat",
         description="Build, transform and check atomized semilattice models.",

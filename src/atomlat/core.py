@@ -40,7 +40,11 @@ def mask_of(indices: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Signature:
-    """An ordered tuple of distinct constant names."""
+    """An ordered tuple of distinct constant names.
+
+    A name is non-empty and has no whitespace and no ``#``, the comment
+    marker of scripts, whatever the source: script, JSON or library call.
+    """
 
     names: tuple[str, ...]
 
@@ -48,7 +52,7 @@ class Signature:
         if not self.names:
             raise EmptySignature("a signature needs at least one constant")
         for name in self.names:
-            if not name or name.split() != [name]:
+            if not name or name.split() != [name] or "#" in name:
                 raise InvalidConstantName(f"bad constant name {name!r}")
         if len(set(self.names)) != len(self.names):
             raise DuplicateConstant(f"repeated constant in {self.names}")

@@ -14,7 +14,11 @@ class DuplicateConstant(AtomlatError):
 
 
 class InvalidConstantName(AtomlatError):
-    """Constant names must be non-empty, without whitespace, ' or #."""
+    """Constant names must be non-empty, without whitespace or ``#``.
+
+    ``#`` opens a comment in scripts. Scripts also reject ``'``, which
+    :func:`atomlat.algebra.join` appends to name its intermediate copies.
+    """
 
 
 class UnknownConstant(AtomlatError):

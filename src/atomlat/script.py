@@ -39,7 +39,7 @@ from .model import (
     new_model,
 )
 
-RESERVED_IN_NAMES = ("'", "#")
+RESERVED_IN_NAMES = ("'",)
 SHOW_SECTIONS = ("atoms", "elements", "theory")
 
 
@@ -194,8 +194,10 @@ def _show(model: Model, section: str, emit: Callable[[str], None], cap: int):
             members = ", ".join(t.label(model.sig) for t in cls.terms)
             emit(f"element {cls.representative.label(model.sig)} {{ {members} }}")
     else:
-        for duple in enumerate_theory(model, cap):
-            emit(format_duple(model.sig, duple))
+        theory = enumerate_theory(model, cap)
+        labels = [""] + [Term(m).label(model.sig) for m in range(1, len(theory.rows))]
+        for duple in theory:
+            emit(f"{labels[duple.left.mask]} <= {labels[duple.right.mask]}")
 
 
 def run_script(

@@ -24,7 +24,40 @@ def model_from_dict(doc) -> Model:
 
 
 def model_to_json(model: Model) -> str:
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    """``json.dumps(model_to_dict(model), indent=2)`` plus a newline.
+
+    Written by hand, quoting each constant name once: the indenting encoder
+    is the pure-Python one, slower, and it leaves a reference cycle per call.
+    Atoms and signatures are never empty; only a hand-built model without
+    atoms writes an empty list.
+
+    >>> sig = Signature.of("a b")
+    >>> print(model_to_json(new_model(sig, [sig.atom("a"), sig.atom("a b")])), end="")
+    {
+      "constants": [
+        "a",
+        "b"
+      ],
+      "atoms": [
+        [
+          "a"
+        ],
+        [
+          "a",
+          "b"
+        ]
+      ]
+    }
+    """
+    quoted = [json.dumps(name) for name in model.sig.names]
+    cells = ["      " + q for q in quoted]
+    constants = ",\n".join(["    " + q for q in quoted])
+    atoms = ",\n".join(
+        "    [\n" + ",\n".join([cells[i] for i in bit_indices(atom.mask)]) + "\n    ]"
+        for atom in model.atoms
+    )
+    atoms = "[\n" + atoms + "\n  ]" if atoms else "[]"
+    return '{\n  "constants": [\n' + constants + '\n  ],\n  "atoms": ' + atoms + "\n}\n"
 
 
 def model_from_json(text: str) -> Model:

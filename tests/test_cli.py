@@ -1,8 +1,9 @@
+import gc
 import json
 
 import pytest
 
-from atomlat.cli import main
+from atomlat.cli import _build_parser, main
 
 CROSS_SCRIPT = """\
 constants a b c d e
@@ -262,3 +263,57 @@ def test_inconsistent_script_input_exits_one(tmp_path, capsys):
         "constants a b\nassert a <= b\ndeny a <= b\n",
     )
     assert main(["reduce", script]) == 1
+
+
+def _run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    # the parser is built once per process; each call must still see only
+    # its own arguments, as a freshly built parser would
+    script = write(tmp_path, "m.al", CROSS_SCRIPT + "assert b <= a d\n")
+    pair = write(tmp_path, "q.json", JOIN_M)
+    calls = [
+        ["build", "--reduce", "never", script],
+        ["build", script],
+        ["product", "--identify-diagonal", pair, pair],
+        ["product", pair, pair],
+        ["query", "--cap", "5"],
+        ["query", script, "b <= a d"],
+    ]
+    shared = [_run(capsys, argv) for argv in calls]
+    assert _build_parser.cache_info().misses <= 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    assert shared == fresh
+    assert len(json.loads(shared[0][1])["atoms"]) == 8
+    assert len(json.loads(shared[1][1])["atoms"]) == 7
+    assert shared[2][1] != shared[3][1]
+    assert shared[4][0] == ("exit", 2)
+    assert shared[5] == (0, "positive\n", "")
+
+
+def test_cli_jobs_leave_no_cyclic_garbage(tmp_path, capsys):
+    # cycles outlive their job until a full collection; a parser rebuilt per
+    # call, or the indenting JSON encoder, leaves some on every call
+    script = write(tmp_path, "m.al", CROSS_SCRIPT + "assert b <= a d\ndeny c <= a\n")
+    model = str(tmp_path / "m.json")
+    assert main(["build", script, "-o", model]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(["build", script]) == 0
+            assert main(["query", model, "b <= a d"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -4,7 +4,7 @@ import pytest
 
 import atomlat.script
 from atomlat.core import Signature
-from atomlat.errors import ParseError, UndeclaredConstant, UnknownConstant
+from atomlat.errors import InvalidConstantName, ParseError, UndeclaredConstant, UnknownConstant
 from atomlat.script import (
     AtomDecl,
     Denial,
@@ -16,6 +16,7 @@ from atomlat.script import (
     parse_term_text,
     run_script,
 )
+from atomlat.serialize import model_from_json
 
 CROSS_SCRIPT = """\
 constants a b c d e
@@ -91,6 +92,18 @@ def test_reserved_characters_rejected():
     # a hash can never reach a name: it always opens a comment
     script = parse_script("constants a#b\n")
     assert script.sig.names == ("a",)
+
+
+def test_hash_rejected_in_every_form():
+    # '#' opens a comment in scripts, so no script can name a constant
+    # "a#"; JSON documents and library calls refuse it the same way
+    with pytest.raises(InvalidConstantName):
+        Signature.of(["a#", "b"])
+    with pytest.raises(InvalidConstantName):
+        model_from_json('{"constants": ["a#", "b"], "atoms": [["a#"], ["b"]]}')
+    assert "a#" not in parse_script("constants a# b\n").sig
+    # primes stay legal outside scripts: join mints primed copies
+    assert Signature.of(["a'", "b"]).names == ("a'", "b")
 
 
 def test_malformed_sentence_reports_line():

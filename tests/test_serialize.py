@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from atomlat.algebra import subdirect_decomposition, embed_in_free
@@ -22,6 +24,25 @@ def test_json_round_trip_on_randoms():
     for _ in range(30):
         m = random_model(rng, "a b c d e")
         assert model_from_json(model_to_json(m)) == m
+
+
+def test_model_json_is_the_indented_encoder_output():
+    rng = seeded(67)
+    odd = ["caf\u00e9", "\u03b1\u03b2", 'q"t', "back\\slash", "\U0001d4b3"]
+    for n in range(1, 15):
+        for _ in range(6):
+            names = [f"c{i}" for i in range(n)]
+            for i in rng.sample(range(n), min(n, 2)):
+                names[i] = rng.choice(odd) + str(i)
+            m = random_model(rng, names, max_atoms=2 * n)
+            text = model_to_json(m)
+            assert text == json.dumps(model_to_dict(m), indent=2) + "\n"
+            assert model_from_json(text) == m
+    point = mk(['"\\'], '"\\')
+    assert model_to_json(point) == json.dumps(model_to_dict(point), indent=2) + "\n"
+    assert model_from_json(model_to_json(point)) == point
+    bare = mk("a b")  # hand-built, no atoms
+    assert model_to_json(bare) == json.dumps(model_to_dict(bare), indent=2) + "\n"
 
 
 def test_model_document_is_canonical():
