@@ -2,9 +2,11 @@
 
 Everything here is built from two primitives: the atom image :func:`map_atoms`
 (each source constant maps to a set of target constants, possibly empty,
-applied to every atom's upper segment) and full crossing. Restriction,
-quotients, joins, subalgebras, products, the embedding into a free model and
-the subdirect decomposition are all short compositions of those two.
+applied to every atom's upper segment) and full crossing, chained through the
+one crossing loop :func:`atomlat.crossing.cross_positives` without reduction.
+Restriction, quotients, joins, subalgebras, products, the embedding into a
+free model and the subdirect decomposition are all short compositions of
+those two.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .errors import (
     UnknownConstant,
     UnknownTargetConstant,
 )
-from .crossing import full_crossing
-from .model import Model, is_redundant, new_model, reduce, union_model
+from .crossing import cross_positives
+from .model import AtomColumns, Model, _require_in_sig, is_redundant, new_model, reduce, union_model
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +122,7 @@ def quotient(model: Model, a: Term, b: Term) -> Model:
 
     Computed by crossing both directions: first b <= a, then a <= b.
     """
-    return full_crossing(full_crossing(model, Duple(b, a)), Duple(a, b))
+    return cross_positives(model, [Duple(b, a), Duple(a, b)], "never")
 
 
 def _shift_atoms(model: Model, offset: int) -> list[Atom]:
@@ -153,12 +155,13 @@ def join(m: Model, n: Model) -> Model:
         primed[name] = _fresh_prime(name, taken)
         taken.add(primed[name])
     ext = Signature(m.sig.names + tuple(primed.get(name, name) for name in n.sig.names))
-    crossed = new_model(ext, list(m.atoms) + _shift_atoms(n, offset))
+    united = new_model(ext, list(m.atoms) + _shift_atoms(n, offset))
+    duples = []
     for name in shared:
         original = Term(1 << m.sig.index_of(name))
         copy = Term(1 << (offset + n.sig.index_of(name)))
-        crossed = full_crossing(crossed, Duple(copy, original))
-        crossed = full_crossing(crossed, Duple(original, copy))
+        duples += [Duple(copy, original), Duple(original, copy)]
+    crossed = cross_positives(united, duples, "never")
     kept = [i for i, name in enumerate(ext.names) if name not in primed.values()]
     return _restrict_to_indices(crossed, kept)
 
@@ -193,10 +196,8 @@ def subalgebra(
     for name in names:
         if name in model.sig:
             raise NameCollision(f"generator name {name!r} already in the signature")
-    full = model.sig.full_mask
     for term in generators:
-        if term.mask & ~full:
-            raise UnknownConstant("generator term uses constants outside the signature")
+        _require_in_sig(model.sig, term.mask)
 
     if route == "rename":
         images = [0] * len(model.sig)
@@ -207,14 +208,15 @@ def subalgebra(
 
     offset = len(model.sig)
     ext = Signature(model.sig.names + names)
-    crossed = new_model(
+    adjoined = new_model(
         ext,
         list(model.atoms) + [Atom(1 << (offset + i)) for i in range(len(names))],
     )
+    duples = []
     for i, term in enumerate(generators):
         fresh = Term(1 << (offset + i))
-        crossed = full_crossing(crossed, Duple(term, fresh))
-        crossed = full_crossing(crossed, Duple(fresh, term))
+        duples += [Duple(term, fresh), Duple(fresh, term)]
+    crossed = cross_positives(adjoined, duples, "never")
     return _restrict_to_indices(crossed, list(range(offset, offset + len(names))))
 
 
@@ -225,10 +227,20 @@ def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:
     rows of the pair grid, each n-atom over the columns, and the product is
     the union of the two spreads. Constants shared between the operands are
     treated as disjoint; with ``identify_diagonal`` each shared c is glued
-    back in by renaming "c*c" to c.
+    back in by renaming "c*c" to c. Two pairs that spell the same name, such
+    as (x, y*z) and (x*y, z), raise :class:`NameCollision`.
     """
     width = len(n.sig)
-    grid = Signature(tuple(f"{a}*{b}" for a in m.sig.names for b in n.sig.names))
+    pairs: dict[str, tuple[str, str]] = {}
+    for a in m.sig.names:
+        for b in n.sig.names:
+            name = f"{a}*{b}"
+            if name in pairs:
+                raise NameCollision(
+                    f"product constant {name!r} names both {pairs[name]} and {(a, b)}"
+                )
+            pairs[name] = (a, b)
+    grid = Signature(tuple(pairs))
     row_masks = [((1 << width) - 1) << (i * width) for i in range(len(m.sig))]
     col_masks = [mask_of(i * width + j for i in range(len(m.sig))) for j in range(width)]
     result = union_model(map_atoms(m, row_masks, grid), map_atoms(n, col_masks, grid))
@@ -311,14 +323,8 @@ def embed_in_free(model: Model) -> tuple[Signature, tuple[Term, ...]]:
     generated by the returned terms reproduces the model.
     """
     free_sig = Signature(tuple(f"z{k + 1}" for k in range(len(model.atoms))))
-    terms = []
-    for i in range(len(model.sig)):
-        mask = 0
-        for k, atom in enumerate(model.atoms):
-            if atom.mask >> i & 1:
-                mask |= 1 << k
-        terms.append(Term(mask))
-    return free_sig, tuple(terms)
+    index = AtomColumns([atom.mask for atom in model.atoms], len(model.sig))
+    return free_sig, tuple(Term(column) for column in index.columns)
 
 
 def restriction_homomorphism_exists(model: Model, keep: str | Iterable[str]) -> bool:

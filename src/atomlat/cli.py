@@ -23,6 +23,7 @@ from .algebra import (
     subalgebra,
     subdirect_decomposition,
 )
+from .crossing import REDUCE_POLICIES
 from .errors import AtomlatError
 from .model import ENUM_CAP_DEFAULT, Model, holds, reduce
 from .oracle import closure_oracle
@@ -227,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("build", _cmd_build, "build a model from a script and print it as JSON")
     p.add_argument("--reduce", default="after_each",
-                   choices=("after_each", "at_end", "never"),
+                   choices=REDUCE_POLICIES,
                    help="when to drop redundant atoms while crossing")
     add("reduce", _cmd_reduce, "print the unique non-redundant atomization")
     p = add("query", _cmd_query, "evaluate one duple against the model")

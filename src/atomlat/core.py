@@ -42,8 +42,9 @@ def mask_of(indices: Iterable[int]) -> int:
 class Signature:
     """An ordered tuple of distinct constant names.
 
-    A name is non-empty and has no whitespace and no ``#``, the comment
-    marker of scripts, whatever the source: script, JSON or library call.
+    A name is a non-empty string with no whitespace and no ``#``, the
+    comment marker of scripts, whatever the source: script, JSON or library
+    call.
     """
 
     names: tuple[str, ...]
@@ -52,7 +53,7 @@ class Signature:
         if not self.names:
             raise EmptySignature("a signature needs at least one constant")
         for name in self.names:
-            if not name or name.split() != [name] or "#" in name:
+            if not isinstance(name, str) or not name or name.split() != [name] or "#" in name:
                 raise InvalidConstantName(f"bad constant name {name!r}")
         if len(set(self.names)) != len(self.names):
             raise DuplicateConstant(f"repeated constant in {self.names}")
@@ -72,12 +73,14 @@ class Signature:
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return isinstance(name, str) and name in self._index
 
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):
+            if not isinstance(name, str):
+                raise InvalidConstantName(f"bad constant name {name!r}") from None
             raise UnknownConstant(f"constant {name!r} is not in the signature") from None
 
     @property

@@ -6,7 +6,9 @@ Iterating over a list of duples, starting from the singleton atoms, builds
 the freest model of those sentences; which is also how consistency of a mixed
 positive/negative sentence set is decided. On a reduced model,
 :func:`fused_crossing` yields the reduced result of one such step without
-building the whole union grid.
+building the whole union grid. :func:`cross_positives` is the one crossing
+loop: freest models, scripts and the crossing constructions of
+:mod:`atomlat.algebra` all chain their duples through it.
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ def fused_crossing(model: Model, r: Duple) -> Model:
         kept.append(atom)
     if not moved:
         return model
-    below_index = AtomColumns(below)
+    below_index = AtomColumns(below, len(model.sig))
     minimal = [b for b in below if not below_index.narrower(b)]
     survivors = [atom.mask for atom in kept]
     unions = list({h | b for h in moved for b in minimal}.difference(survivors))
-    index = AtomColumns(survivors + unions)
+    index = AtomColumns(survivors + unions, len(model.sig))
     kept.extend(Atom(u) for u in unions if not index.redundant(u))
     return Model(model.sig, tuple(sorted(kept, key=canonical_key)))
 

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Atom, Duple, Signature, SignedDuple, Term, bit_indices, canonical_key
+from .core import Atom, Duple, Signature, SignedDuple, Term, canonical_key
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 
 ENUM_CAP_DEFAULT = 10
@@ -29,12 +29,6 @@ class Model:
 
     sig: Signature
     atoms: tuple[Atom, ...]
-
-    def covered_mask(self) -> int:
-        out = 0
-        for atom in self.atoms:
-            out |= atom.mask
-        return out
 
     def __repr__(self) -> str:
         inner = ", ".join(atom.label(self.sig) for atom in self.atoms)
@@ -161,16 +155,16 @@ def is_redundant(model: Model, phi: Atom) -> bool:
 
 
 class AtomColumns:
-    """Distinct atom masks in transposed form, for subset tests in bulk.
+    """Atom masks over ``width`` constants in transposed form.
 
     ``columns[i]`` is the bitset of the positions of the atoms below constant
-    ``i``, the per-constant index :func:`segment_signatures` also builds. The
-    atoms inside a mask are then the positions that no column of a constant
+    ``i``, one column per constant of the signature. For distinct masks the
+    atoms inside a mask are the positions that no column of a constant
     outside the mask reaches, so a whole redundancy test is one pass of
     bitwise operations over the constants instead of a loop over atom pairs.
     """
 
-    def __init__(self, masks: Sequence[int]):
+    def __init__(self, masks: Sequence[int], width: int):
         self.position = {mask: pos for pos, mask in enumerate(masks)}
         self.everything = (1 << len(masks)) - 1
         union = 0
@@ -180,10 +174,9 @@ class AtomColumns:
         # Transpose through text: the binary digits of the masks, last
         # position first, so that every width-th digit from the one for
         # constant i spells column i with position 0 as its lowest bit.
-        width = union.bit_length()
         spec = f"0{width}b"
         digits = "".join([format(mask, spec) for mask in reversed(masks)])
-        self.columns = [int(digits[width - 1 - i :: width], 2) for i in range(width)]
+        self.columns = [int(digits[width - 1 - i :: width] or "0", 2) for i in range(width)]
 
     def narrower(self, mask: int) -> int:
         """The bitset of the positions of the atoms strictly narrower than ``mask``."""
@@ -238,7 +231,7 @@ def reduce(model: Model) -> Model:
     >>> reduce(new_model(sig, [sig.atom("a"), sig.atom("b"), sig.atom("a b")])).atoms
     (Atom((0,)), Atom((1,)))
     """
-    index = AtomColumns(list(dict.fromkeys(atom.mask for atom in model.atoms)))
+    index = AtomColumns(list(dict.fromkeys(atom.mask for atom in model.atoms)), len(model.sig))
     dropped = {mask for mask in index.position if index.redundant(mask)}
     if not dropped:
         return model
@@ -255,18 +248,12 @@ def is_freer(a: Model, b: Model) -> bool:
     """Whether ``a`` is freer than or as free as ``b``.
 
     Holds exactly when every atom of ``b`` is an atom of ``a`` or a union of
-    atoms of ``a``; equivalently, every negative sentence of ``b`` is a
-    negative sentence of ``a``.
+    atoms of ``a`` (redundant against ``a``); equivalently, every negative
+    sentence of ``b`` is a negative sentence of ``a``.
     """
     _require_same_sig(a, b)
-    for phi in b.atoms:
-        cover = 0
-        for eta in a.atoms:
-            if eta.mask & ~phi.mask == 0:
-                cover |= eta.mask
-        if cover != phi.mask:
-            return False
-    return True
+    index = AtomColumns([atom.mask for atom in a.atoms], len(a.sig))
+    return all(phi.mask in index.position or index.redundant(phi.mask) for phi in b.atoms)
 
 
 def _require_same_sig(a: Model, b: Model):
@@ -287,12 +274,10 @@ def segment_signatures(model: Model) -> list[int]:
     """For every term mask, a bitmask over atom positions of its segment.
 
     Index 0 is unused (terms are non-empty). Built in one pass per term using
-    linearity: the segment of s + t is the union of the segments.
+    linearity from the per-constant columns of :class:`AtomColumns`: the
+    segment of s + t is the union of the segments.
     """
-    per_constant = [0] * len(model.sig)
-    for pos, atom in enumerate(model.atoms):
-        for i in bit_indices(atom.mask):
-            per_constant[i] |= 1 << pos
+    per_constant = AtomColumns([atom.mask for atom in model.atoms], len(model.sig)).columns
     out = [0] * (model.sig.full_mask + 1)
     for t in range(1, model.sig.full_mask + 1):
         low = t & -t

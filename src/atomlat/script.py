@@ -29,7 +29,7 @@ from typing import Callable
 
 from .core import Atom, Duple, Signature, Term
 from .errors import ParseError, UndeclaredConstant, UnknownConstant
-from .crossing import cross_positives
+from .crossing import cross_positives, freest_model
 from .model import (
     ENUM_CAP_DEFAULT,
     Model,
@@ -217,10 +217,7 @@ def run_script(
     given.
     """
     declared = script.atoms()
-    if declared:
-        start = new_model(script.sig, declared)
-    else:
-        start = new_model(script.sig, (Atom(1 << i) for i in range(len(script.sig))))
+    start = new_model(script.sig, declared) if declared else freest_model(script.sig)
     shows: dict[int, list[str]] = {}
     crossed = 0
     for statement in script.statements:

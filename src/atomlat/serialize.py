@@ -19,8 +19,12 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(doc) -> Model:
     if not isinstance(doc, dict) or set(doc) != {"constants", "atoms"}:
         raise ValueError("model document needs exactly the keys 'constants' and 'atoms'")
-    sig = Signature.of(doc["constants"])
-    return new_model(sig, (sig.atom(names) for names in doc["atoms"]))
+    constants, atoms = doc["constants"], doc["atoms"]
+    if not (isinstance(constants, list) and isinstance(atoms, list)
+            and all(isinstance(names, list) for names in atoms)):
+        raise ValueError("model document needs a list of names and a list of name lists")
+    sig = Signature(tuple(constants))
+    return new_model(sig, (sig.atom(names) for names in atoms))
 
 
 def model_to_json(model: Model) -> str:
@@ -67,7 +71,11 @@ def model_from_json(text: str) -> Model:
 def rename_map_from_dict(doc) -> RenameMap:
     if not isinstance(doc, dict) or set(doc) != {"map", "targets"}:
         raise ValueError("rename document needs exactly the keys 'map' and 'targets'")
-    return RenameMap.of(doc["map"], doc["targets"])
+    mapping, targets = doc["map"], doc["targets"]
+    if not (isinstance(mapping, dict) and isinstance(targets, list)
+            and all(isinstance(names, list) for names in mapping.values())):
+        raise ValueError("rename document needs a map to name lists and a list of target names")
+    return RenameMap.of(mapping, targets)
 
 
 def rename_map_from_json(text: str) -> RenameMap:
@@ -123,12 +131,9 @@ def model_to_dot(model: Model, cap: int = ENUM_CAP_DEFAULT) -> str:
         below.append(row)
     lines = ["digraph {"]
     labels = [_dot_escape(cls.representative.label(model.sig)) for cls in classes]
-    for x, cls in enumerate(classes):
-        segment = ", ".join(
-            "{" + atom.label(model.sig) + "}"
-            for atom in model.atoms
-            if atom.mask & cls.representative.mask
-        )
+    atom_labels = ["{" + atom.label(model.sig) + "}" for atom in model.atoms]
+    for x, seg in enumerate(class_seg):
+        segment = ", ".join(atom_labels[k] for k in bit_indices(seg))
         lines.append(f'  "{labels[x]}" [atoms="{_dot_escape(segment)}"];')
     for x in range(len(classes)):
         skip = 0

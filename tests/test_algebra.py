@@ -13,27 +13,30 @@ from atomlat.algebra import (
     subalgebra,
     subdirect_decomposition,
 )
-from atomlat.core import Duple, Signature, Term
-from atomlat.crossing import freest_model
+from atomlat.core import Atom, Duple, Signature, Term
+from atomlat.crossing import freest_model, full_crossing
 from atomlat.errors import (
     EmptyRestrictionSet,
     EmptySignature,
     NameCollision,
     RenameMapIncomplete,
+    SignatureMismatch,
     TrivialModel,
     UnknownConstant,
     UnknownTargetConstant,
 )
 from atomlat.model import (
+    Model,
     enumerate_theory,
     is_freer,
     is_redundant,
+    new_model,
     reduce,
     union_model,
 )
 from atomlat.oracle import closure_oracle
 
-from conftest import duple, mk, random_duple, random_model, seeded
+from conftest import duple, mk, random_duple, random_model, random_term, seeded
 
 
 def atom_names(model):
@@ -347,6 +350,9 @@ def test_subalgebra_argument_validation():
         subalgebra(m, [m.sig.term("a")], ["g1", "g2"])
     with pytest.raises(ValueError):
         subalgebra(m, [m.sig.term("a")], ["g1"], route="sideways")
+    for route in ("rename", "crossing"):
+        with pytest.raises(SignatureMismatch):
+            subalgebra(m, [m.sig.term("a"), Term(0b100)], ["g1", "g2"], route=route)
 
 
 def test_subalgebra_never_grows_nonredundant_count():
@@ -424,6 +430,20 @@ def test_product_atom_bound():
         assert len(reduce(p).atoms) <= len(reduce(m).atoms) + len(reduce(n).atoms)
 
 
+def test_product_rejects_pairs_that_spell_the_same_name():
+    m = mk("x x*y", "x", "x*y")
+    n = mk("y*z z", "y*z", "z")
+    with pytest.raises(NameCollision, match=r"\('x', 'y\*z'\).*\('x\*y', 'z'\)"):
+        product(m, n)
+
+
+def test_nested_product_keeps_starred_names():
+    ab = product(mk("a", "a"), mk("b", "b"))
+    out = product(ab, mk("c1 c2", "c1", "c2"))
+    assert out.sig.names == ("a*b*c1", "a*b*c2")
+    assert atom_names(reduce(out)) == {("a*b*c1",), ("a*b*c2",)}
+
+
 def test_product_diagonal_identification():
     m = mk("a c", "a", "c")
     n = mk("c d", "c", "d")
@@ -482,6 +502,38 @@ def test_subdirect_round_trip_reproduces_theory():
         assert enumerate_theory(back) == enumerate_theory(red)
 
 
+# ------------------------------------------- crossing chains, by reference
+
+
+def test_crossing_constructions_equal_explicit_full_crossing_chains():
+    rng = seeded(54)
+    for _ in range(150):
+        m = random_model(rng, "a b c d", max_atoms=8)
+        a, b = random_term(rng, 4), random_term(rng, 4)
+        expected = full_crossing(full_crossing(m, Duple(b, a)), Duple(a, b))
+        assert quotient(m, a, b) == expected
+
+        # join over the shared c and d: each primed copy equals its original
+        n = random_model(rng, "c d e", max_atoms=5)
+        ext = Signature(("a", "b", "c", "d", "c'", "d'", "e"))
+        crossed = new_model(ext, m.atoms + tuple(Atom(x.mask << 4) for x in n.atoms))
+        for i in (2, 3):
+            original, copy = Term(1 << i), Term(1 << (i + 2))
+            crossed = full_crossing(crossed, Duple(copy, original))
+            crossed = full_crossing(crossed, Duple(original, copy))
+        assert join(m, n) == restrict(crossed, "a b c d e")
+
+        gens = [random_term(rng, 4) for _ in range(rng.randint(1, 3))]
+        names = [f"g{i}" for i in range(len(gens))]
+        ext = Signature(m.sig.names + tuple(names))
+        crossed = new_model(ext, m.atoms + tuple(Atom(1 << (4 + i)) for i in range(len(gens))))
+        for i, term in enumerate(gens):
+            fresh = Term(1 << (4 + i))
+            crossed = full_crossing(crossed, Duple(term, fresh))
+            crossed = full_crossing(crossed, Duple(fresh, term))
+        assert subalgebra(m, gens, names, route="crossing") == restrict(crossed, names)
+
+
 # ------------------------------------------------------------ embed_in_free
 
 
@@ -500,6 +552,25 @@ def test_embed_chain_shares_generator():
     t_a, t_b, t_c = terms
     assert t_a == t_b == free_sig.term("z1")
     assert t_c == free_sig.term("z1 z2")
+
+
+def test_embed_terms_are_the_atom_columns_of_hand_built_models():
+    rng = seeded(55)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        sig = Signature(tuple(f"c{i}" for i in range(n)))
+        # atoms over the lower constants only: the top ones may stay uncovered
+        top = rng.randint(1, n)
+        atoms = tuple(Atom(rng.randrange(1, 1 << top)) for _ in range(rng.randint(1, 8)))
+        m = Model(sig, atoms)
+        columns = [sum(1 << k for k, x in enumerate(atoms) if x.mask >> i & 1) for i in range(n)]
+        if all(columns):
+            free_sig, terms = embed_in_free(m)
+            assert len(free_sig) == len(atoms)
+            assert [t.mask for t in terms] == columns
+        else:
+            with pytest.raises(ValueError):
+                embed_in_free(m)
 
 
 def test_embed_round_trip_reproduces_theory():

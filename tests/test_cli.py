@@ -119,6 +119,16 @@ def test_rename_map_json(tmp_path, capsys):
     assert doc["atoms"] == [["g1", "g3"], ["g2", "g4"], ["g3", "g4"]]
 
 
+@pytest.mark.parametrize("rmap", [
+    {"map": {"c1": [["g1"]]}, "targets": ["g1"]},
+    {"map": ["c1"], "targets": ["g1"]},
+])
+def test_malformed_rename_document_exits_two(tmp_path, capsys, rmap):
+    m = write(tmp_path, "m.json", json.dumps({"constants": ["c1"], "atoms": [["c1"]]}))
+    assert main(["rename", m, "--map", json.dumps(rmap)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_quotient_command(tmp_path, capsys):
     m = write(tmp_path, "m.json", json.dumps(
         {"constants": ["a", "b"], "atoms": [["a"], ["b"]]}
@@ -244,6 +254,18 @@ def test_unknown_constant_in_query_exits_two(tmp_path, capsys):
     m = write(tmp_path, "m.json", JOIN_M)
     assert main(["query", m, "q <= a"]) == 2
     assert "q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"constants": ["a", 1], "atoms": [["a"]]},
+    {"constants": ["a", "b"], "atoms": "ab"},
+    {"constants": ["a", "b"], "atoms": None},
+    {"constants": ["a", "b"], "atoms": [["a", ["b"]]]},
+])
+def test_malformed_model_document_exits_two(tmp_path, capsys, doc):
+    m = write(tmp_path, "m.json", json.dumps(doc))
+    assert main(["query", m, "a <= b"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

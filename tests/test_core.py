@@ -39,6 +39,14 @@ def test_signature_rejects_bad_input():
         Signature.of(["a", "b c"])
     with pytest.raises(InvalidConstantName):
         Signature.of(["a", ""])
+    with pytest.raises(InvalidConstantName):
+        Signature.of(["a", 1])
+    # a non-string name fails the same way in a lookup as in a signature
+    with pytest.raises(InvalidConstantName):
+        ABCDE.atom(["a", 1])
+    with pytest.raises(InvalidConstantName):
+        ABCDE.term([["a"]])
+    assert 1 not in ABCDE and ["a"] not in ABCDE
     with pytest.raises(UnknownConstant):
         ABCDE.index_of("q")
     # primes are legal here: the join construction mints primed copies

@@ -16,6 +16,7 @@ from atomlat.model import (
     lower_atomic_segment,
     new_model,
     reduce,
+    segment_signatures,
     union_model,
 )
 
@@ -251,6 +252,46 @@ def test_is_freer_matches_negative_theory_inclusion():
         # the negatives of b lie among those of a: a's positives among b's
         by_theory = set(enumerate_theory(a)) <= set(enumerate_theory(b))
         assert by_atoms == by_theory
+
+
+def hand_built(rng, n, max_atoms):
+    """Atoms over a random lower part of the constants, possibly repeated,
+    so that the top constants may stay uncovered; sometimes no atoms."""
+    top = rng.randint(1, n)
+    atoms = [Atom(rng.randrange(1, 1 << top)) for _ in range(rng.randint(0, max_atoms))]
+    return Model(Signature(tuple(f"c{i}" for i in range(n))), tuple(atoms))
+
+
+def test_is_freer_matches_pairwise_definition():
+    rng = seeded(17)
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        a, b = hand_built(rng, n, 10), hand_built(rng, n, 6)
+        if rng.random() < 0.3:
+            b = Model(b.sig, b.atoms + a.atoms[: rng.randint(0, len(a.atoms))])
+        pairwise = all(
+            phi.mask == sum_masks(eta for eta in a.atoms if eta.mask & ~phi.mask == 0)
+            for phi in b.atoms
+        )
+        assert is_freer(a, b) == pairwise
+
+
+def sum_masks(atoms):
+    out = 0
+    for atom in atoms:
+        out |= atom.mask
+    return out
+
+
+def test_segment_signatures_on_hand_built_models():
+    rng = seeded(18)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = hand_built(rng, n, 10)
+        segs = segment_signatures(m)
+        assert len(segs) == 1 << n
+        for t in range(1, 1 << n):
+            assert segs[t] == sum(1 << k for k, x in enumerate(m.atoms) if x.mask & t)
 
 
 def test_enumerate_elements_free_pair():

@@ -4,7 +4,7 @@ import pytest
 
 from atomlat.algebra import subdirect_decomposition, embed_in_free
 from atomlat.core import Signature
-from atomlat.errors import CapExceeded
+from atomlat.errors import CapExceeded, InvalidConstantName, UnknownTargetConstant
 from atomlat.serialize import (
     decomposition_to_dict,
     embedding_to_dict,
@@ -57,6 +57,25 @@ def test_model_document_rejects_other_shapes():
         model_from_dict({"constants": ["a"], "atoms": [], "extra": 1})
     with pytest.raises(ValueError):
         model_from_dict(["a"])
+    for constants, atoms in [
+        ("a b", [["a"], ["b"]]),
+        (None, []),
+        (["a", "b"], "ab"),
+        (["a", "b"], None),
+        (["a", "b"], ["a b"]),
+        (["a", "b"], [["a"], "b"]),
+    ]:
+        with pytest.raises(ValueError):
+            model_from_dict({"constants": constants, "atoms": atoms})
+    # a non-string name is the same error under constants and under atoms
+    for constants, atoms in [
+        (["a", 1], [["a"]]),
+        (["a", "b"], [["a", 1]]),
+        (["a", "b"], [[["a"]]]),
+        (["a", "b"], [[None]]),
+    ]:
+        with pytest.raises(InvalidConstantName):
+            model_from_dict({"constants": constants, "atoms": atoms})
 
 
 def test_rename_map_document():
@@ -68,6 +87,16 @@ def test_rename_map_document():
     assert rmap.mapping["c3"] == ()
     with pytest.raises(ValueError):
         rename_map_from_json('{"map": {}}')
+    for text in [
+        '{"map": {"a": "xy"}, "targets": ["x", "y"]}',
+        '{"map": ["a"], "targets": ["x"]}',
+        '{"map": {"a": ["x"]}, "targets": "x"}',
+        '{"map": {"a": ["x"]}, "targets": 5}',
+    ]:
+        with pytest.raises(ValueError):
+            rename_map_from_json(text)
+    with pytest.raises(UnknownTargetConstant):
+        rename_map_from_json('{"map": {"a": [["x"]]}, "targets": ["x"]}')
 
 
 def test_decomposition_document():
