@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import Atom, Duple, Signature, Term, bit_indices, mask_of, zero_atom
 from .errors import (
     EmptyRestrictionSet,
+    InvalidConstantName,
     NameCollision,
     RenameMapIncomplete,
     TrivialModel,
@@ -47,13 +48,10 @@ class RenameMap:
         target = Signature.of(targets)
         fixed = {}
         for source, names in mapping.items():
-            names = tuple(names)
-            for name in names:
-                if name not in target:
-                    raise UnknownTargetConstant(
-                        f"{source!r} maps to {name!r}, which the target signature lacks"
-                    )
-            fixed[source] = names
+            try:
+                fixed[source] = target.names_of(target.mask_of_names(names))
+            except (UnknownConstant, InvalidConstantName) as exc:
+                raise UnknownTargetConstant(f"target of {source!r}: {exc}") from None
         return cls(target, fixed)
 
 
@@ -81,16 +79,11 @@ def rename(model: Model, rmap: RenameMap) -> Model:
     disappear; duplicate images merge; if a target constant ends up uncovered
     the usual zero-atom repair fires with its warning.
     """
-    extra = set(rmap.mapping) - set(model.sig.names)
-    if extra:
-        raise UnknownConstant(
-            f"rename map mentions constants not in the model: {sorted(extra)}"
-        )
-    image_masks = []
-    for name in model.sig.names:
-        if name not in rmap.mapping:
-            raise RenameMapIncomplete(f"no target set for constant {name!r}")
-        image_masks.append(rmap.target.mask_of_names(rmap.mapping[name]))
+    sig = model.sig
+    missing = sig.full_mask & ~sig.mask_of_names(rmap.mapping)
+    if missing:
+        raise RenameMapIncomplete(f"no target set for constant {sig.names_of(missing)[0]!r}")
+    image_masks = [rmap.target.mask_of_names(rmap.mapping[name]) for name in sig.names]
     return map_atoms(model, image_masks, rmap.target)
 
 
@@ -101,12 +94,10 @@ def restrict(model: Model, keep: str | Iterable[str]) -> Model:
     intersections drop the atom. The kept constants retain their original
     relative order.
     """
-    if isinstance(keep, str):
-        keep = keep.split()
-    wanted = {model.sig.index_of(name) for name in keep}
+    wanted = list(bit_indices(model.sig.mask_of_names(keep)))
     if not wanted:
         raise EmptyRestrictionSet("restriction needs at least one constant")
-    return _restrict_to_indices(model, sorted(wanted))
+    return _restrict_to_indices(model, wanted)
 
 
 def _restrict_to_indices(model: Model, indices: list[int]) -> Model:
@@ -284,7 +275,7 @@ class Decomposition:
         for constant, coords in self.generators:
             if constant == name:
                 return coords
-        raise UnknownConstant(f"constant {name!r} is not in the decomposed model")
+        raise UnknownConstant(name)
 
 
 def subdirect_decomposition(model: Model) -> Decomposition:

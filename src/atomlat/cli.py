@@ -61,7 +61,7 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_model(path: str, cap: int, reduce_policy: str = "after_each") -> Model:
+def _load_model(path: str, reduce_policy: str = "after_each") -> Model:
     """Load a model document or build one from a script.
 
     A script whose deny lines are entailed by its own build is rejected as
@@ -72,7 +72,7 @@ def _load_model(path: str, cap: int, reduce_policy: str = "after_each") -> Model
     if text.lstrip().startswith("{"):
         return model_from_json(text)
     script = parse_script(text)
-    model, verdicts = run_script(script, reduce_policy, cap=cap)
+    model, verdicts = run_script(script, reduce_policy)
     failures = [
         format_duple(script.sig, denial.duple)
         for denial, entailed in verdicts
@@ -97,15 +97,15 @@ def _emit_model(args, model: Model) -> int:
 
 
 def _cmd_build(args) -> int:
-    return _emit_model(args, _load_model(args.file, args.cap, args.reduce))
+    return _emit_model(args, _load_model(args.file, args.reduce))
 
 
 def _cmd_reduce(args) -> int:
-    return _emit_model(args, reduce(_load_model(args.file, args.cap)))
+    return _emit_model(args, reduce(_load_model(args.file)))
 
 
 def _cmd_query(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     duple = parse_duple_text(model.sig, args.duple)
     answer = "positive" if holds(model, duple.signed(True)) else "negative"
     _write_result(args, answer + "\n")
@@ -113,49 +113,49 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     return _emit_model(args, restrict(model, args.keep))
 
 
 def _cmd_rename(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     return _emit_model(args, rename(model, rename_map_from_json(args.map)))
 
 
 def _cmd_quotient(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     left = parse_term_text(model.sig, args.left)
     right = parse_term_text(model.sig, args.right)
     return _emit_model(args, quotient(model, left, right))
 
 
 def _cmd_join(args) -> int:
-    m = _load_model(args.file, args.cap)
-    n = _load_model(args.other, args.cap)
+    m = _load_model(args.file)
+    n = _load_model(args.other)
     return _emit_model(args, join(m, n))
 
 
 def _cmd_product(args) -> int:
-    m = _load_model(args.file, args.cap)
-    n = _load_model(args.other, args.cap)
+    m = _load_model(args.file)
+    n = _load_model(args.other)
     return _emit_model(args, product(m, n, identify_diagonal=args.identify_diagonal))
 
 
 def _cmd_subalgebra(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     generators = [parse_term_text(model.sig, text) for text in args.gen]
     return _emit_model(args, subalgebra(model, generators, args.names))
 
 
 def _cmd_decompose(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     doc = decomposition_to_dict(subdirect_decomposition(model))
     _write_result(args, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_embed_free(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     free_sig, terms = embed_in_free(model)
     doc = embedding_to_dict(model, free_sig, terms)
     _write_result(args, json.dumps(doc, indent=2) + "\n")
@@ -194,7 +194,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    model = _load_model(args.file, args.cap)
+    model = _load_model(args.file)
     if args.dot:
         _write_result(args, model_to_dot(model, args.cap))
     else:

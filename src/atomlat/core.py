@@ -4,15 +4,17 @@ An atom is identified by the set of constants sitting strictly above it (its
 upper constant segment); a term by the non-empty set of constants it sums.
 Both sets are stored as integer bitmasks over the positions of the constants
 in the signature, so the set algebra is plain integer arithmetic and there is
-no cap on the number of constants. Names matter only at the serialization
-boundary; everything else works on indices.
+no cap on the number of constants. Names matter only where input comes in,
+and :meth:`Signature.mask_of_names` is the one lookup that turns them into
+bits, for scripts, model documents, CLI arguments and library calls alike;
+everything else works on masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import (
     DuplicateConstant,
@@ -42,9 +44,9 @@ def mask_of(indices: Iterable[int]) -> int:
 class Signature:
     """An ordered tuple of distinct constant names.
 
-    A name is a non-empty string with no whitespace and no ``#``, the
-    comment marker of scripts, whatever the source: script, JSON or library
-    call.
+    A name is a non-empty string with no whitespace, no ``#`` (the comment
+    marker of scripts) and not ``<=`` (the sentence separator), whatever the
+    source: script, JSON or library call.
     """
 
     names: tuple[str, ...]
@@ -53,7 +55,7 @@ class Signature:
         if not self.names:
             raise EmptySignature("a signature needs at least one constant")
         for name in self.names:
-            if not isinstance(name, str) or not name or name.split() != [name] or "#" in name:
+            if not isinstance(name, str) or name.split() != [name] or "#" in name or name == "<=":
                 raise InvalidConstantName(f"bad constant name {name!r}")
         if len(set(self.names)) != len(self.names):
             raise DuplicateConstant(f"repeated constant in {self.names}")
@@ -66,22 +68,17 @@ class Signature:
         return cls(tuple(names))
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+    def _bits(self) -> dict[str, int]:
+        return {name: 1 << i for i, name in enumerate(self.names)}
 
     def __len__(self) -> int:
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return isinstance(name, str) and name in self._index
+        return isinstance(name, str) and name in self._bits
 
     def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except (KeyError, TypeError):
-            if not isinstance(name, str):
-                raise InvalidConstantName(f"bad constant name {name!r}") from None
-            raise UnknownConstant(f"constant {name!r} is not in the signature") from None
+        return self.mask_of_names((name,)).bit_length() - 1
 
     @property
     def full_mask(self) -> int:
@@ -90,31 +87,52 @@ class Signature:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bit_indices(mask))
 
-    def mask_of_names(self, names: Iterable[str]) -> int:
-        return mask_of(self.index_of(n) for n in names)
+    def mask_of_names(self, names: str | Iterable[str]) -> int:
+        """The bitmask of the named constants; a string is split on whitespace.
+
+        An unknown name raises :class:`UnknownConstant`, a non-string
+        :class:`InvalidConstantName`.
+
+        >>> sig = Signature.of("a b c")
+        >>> sig.mask_of_names("c a") == sig.mask_of_names(["a", "c"]) == 0b101
+        True
+        >>> sig.mask_of_names("ab")
+        Traceback (most recent call last):
+            ...
+        atomlat.errors.UnknownConstant: constant 'ab' is not in the signature
+        """
+        if isinstance(names, str):
+            names = names.split()
+        bits = self._bits
+        mask = 0
+        for name in names:
+            try:
+                mask |= bits[name]
+            except (KeyError, TypeError):
+                if not isinstance(name, str):
+                    raise InvalidConstantName(f"bad constant name {name!r}") from None
+                raise UnknownConstant(name) from None
+        return mask
 
     def term(self, text: str | Iterable[str]) -> "Term":
-        """Parse a term from a space-separated string (or iterable) of names."""
-        if isinstance(text, str):
-            text = text.split()
+        """The term summing the named constants."""
         return Term(self.mask_of_names(text))
 
     def atom(self, text: str | Iterable[str]) -> "Atom":
-        """Build an atom from the names of its upper constant segment."""
-        if isinstance(text, str):
-            text = text.split()
+        """The atom whose upper constant segment holds the named constants."""
         return Atom(self.mask_of_names(text))
 
 
 @dataclass(frozen=True)
-class Atom:
-    """An atom, identified by the bitmask of its upper constant segment."""
+class _ConstantSet:
+    """A non-empty set of constants as a bitmask; equal only within one subclass."""
 
     mask: int
+    _empty: ClassVar[str]
 
     def __post_init__(self):
         if self.mask <= 0:
-            raise ValueError("an atom must sit below at least one constant")
+            raise ValueError(self._empty)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(bit_indices(self.mask))
@@ -124,6 +142,18 @@ class Atom:
 
     def label(self, sig: Signature) -> str:
         return " ".join(self.names(sig))
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.indices()})"
+
+
+class Atom(_ConstantSet):
+    """An atom, identified by the bitmask of its upper constant segment."""
+
+    _empty = "an atom must sit below at least one constant"
 
     def union(self, other: "Atom") -> "Atom":
         return Atom(self.mask | other.mask)
@@ -132,41 +162,15 @@ class Atom:
         """Strictly wider: the other upper segment is a proper subset."""
         return self.mask != other.mask and other.mask & ~self.mask == 0
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
 
-    def __repr__(self) -> str:
-        return f"Atom({self.indices()})"
-
-
-@dataclass(frozen=True)
-class Term:
+class Term(_ConstantSet):
     """A term in canonical form: the bitmask of its component constants."""
 
-    mask: int
-
-    def __post_init__(self):
-        if self.mask <= 0:
-            raise ValueError("a term must sum at least one constant")
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(bit_indices(self.mask))
-
-    def names(self, sig: Signature) -> tuple[str, ...]:
-        return sig.names_of(self.mask)
-
-    def label(self, sig: Signature) -> str:
-        return " ".join(self.names(sig))
+    _empty = "a term must sum at least one constant"
 
     def join(self, other: "Term") -> "Term":
         """The idempotent sum of two terms."""
         return Term(self.mask | other.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __repr__(self) -> str:
-        return f"Term({self.indices()})"
 
 
 @dataclass(frozen=True)

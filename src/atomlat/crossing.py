@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 from .core import Atom, Duple, Signature, canonical_key
 from .model import AtomColumns, Model, _require_in_sig, holds, new_model, reduce
 
-REDUCE_POLICIES = ("after_each", "at_end", "never")
+REDUCE_POLICIES = ("after_each", "never")
 
 
 def full_crossing(model: Model, r: Duple) -> Model:
@@ -95,7 +95,8 @@ def cross_positives(
     starting at ``k = 0``. Under ``after_each`` a step is
     :func:`fused_crossing` once the model is known to be reduced: from the
     start if it already is, otherwise after the first step, which runs on the
-    reference path ``reduce(full_crossing(...))``.
+    reference path ``reduce(full_crossing(...))``. Under ``never`` every step
+    is :func:`full_crossing` and redundant atoms stay.
     """
     if reduce_policy not in REDUCE_POLICIES:
         raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
@@ -113,8 +114,6 @@ def cross_positives(
                 reduced = True
         if on_step is not None:
             on_step(k, model)
-    if reduce_policy == "at_end":
-        model = reduce(model)
     return model
 
 

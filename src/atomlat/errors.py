@@ -14,15 +14,20 @@ class DuplicateConstant(AtomlatError):
 
 
 class InvalidConstantName(AtomlatError):
-    """Constant names must be non-empty, without whitespace or ``#``.
+    """Constant names are non-empty strings without whitespace or ``#``, and not ``<=``.
 
-    ``#`` opens a comment in scripts. Scripts also reject ``'``, which
-    :func:`atomlat.algebra.join` appends to name its intermediate copies.
+    ``#`` opens a comment in scripts and ``<=`` separates the two terms of a
+    sentence. Scripts also reject ``'``, which :func:`atomlat.algebra.join`
+    appends to name its intermediate copies.
     """
 
 
 class UnknownConstant(AtomlatError):
     """A name was looked up that the signature does not declare."""
+
+    def __init__(self, name: str):
+        super().__init__(f"constant {name!r} is not in the signature")
+        self.name = name
 
 
 class SignatureMismatch(AtomlatError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Atom, Duple, Signature, Term
-from .errors import ParseError, UndeclaredConstant, UnknownConstant
+from .errors import InvalidConstantName, ParseError, UndeclaredConstant, UnknownConstant
 from .crossing import cross_positives, freest_model
 from .model import (
     ENUM_CAP_DEFAULT,
@@ -96,15 +96,12 @@ def _term_from_tokens(sig: Signature, line: int | None, tokens: list[str]) -> Te
         if line is None:
             raise ValueError("empty term")
         raise ParseError(line, "empty term")
-    mask = 0
-    for token in tokens:
-        try:
-            mask |= 1 << sig.index_of(token)
-        except UnknownConstant:
-            if line is None:
-                raise
-            raise UndeclaredConstant(line, token) from None
-    return Term(mask)
+    try:
+        return Term(sig.mask_of_names(tokens))
+    except UnknownConstant as exc:
+        if line is None:
+            raise
+        raise UndeclaredConstant(line, exc.name) from None
 
 
 def _duple_from_tokens(sig: Signature, line: int | None, tokens: list[str]) -> Duple:
@@ -140,7 +137,10 @@ def parse_script(text: str) -> Script:
                 if name in names:
                     raise ParseError(lineno, f"constant {name!r} declared twice")
                 names.append(name)
-            sig = Signature(tuple(names))
+            try:
+                sig = Signature(tuple(names))
+            except InvalidConstantName as exc:
+                raise ParseError(lineno, str(exc)) from None
             continue
         if sig is None:
             raise ParseError(lineno, "constants must be declared first")
@@ -175,10 +175,6 @@ def parse_term_text(sig: Signature, text: str) -> Term:
 def parse_duple_text(sig: Signature, text: str) -> Duple:
     """Parse a free-standing duple argument like ``"b <= a d"``."""
     return _duple_from_tokens(sig, None, text.split())
-
-
-def format_term(sig: Signature, term: Term) -> str:
-    return term.label(sig)
 
 
 def format_duple(sig: Signature, duple: Duple) -> str:

@@ -132,6 +132,18 @@ def test_rename_map_validation():
     m = mk("a b", "a", "b")
     with pytest.raises(RenameMapIncomplete):
         rename(m, RenameMap.of({"a": ["g1"]}, "g1"))
+    with pytest.raises(UnknownConstant):
+        rename(m, RenameMap.of({"a": ["g1"], "b": [], "q": ["g1"]}, "g1"))
+
+
+def test_rename_map_reads_targets_like_a_signature():
+    # a string of targets is split on whitespace, as in every name lookup,
+    # and each target list is kept in target-signature order
+    rmap = RenameMap.of({"a": "x y", "b": "y"}, "x y")
+    assert rmap.mapping == {"a": ("x", "y"), "b": ("y",)}
+    assert RenameMap.of({"a": ["y", "x"]}, "x y").mapping["a"] == ("x", "y")
+    with pytest.raises(UnknownTargetConstant):
+        RenameMap.of({"a": "xy"}, "x y")
 
 
 def test_rename_never_grows_nonredundant_count():

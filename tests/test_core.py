@@ -54,6 +54,20 @@ def test_signature_rejects_bad_input():
     assert Signature.of(["a", "a'"]).names == ("a", "a'")
 
 
+def test_mask_of_names_splits_strings_on_whitespace_only():
+    ab = Signature.of("a b")
+    assert ab.mask_of_names("a b") == ab.mask_of_names(["a", "b"]) == 0b11
+    assert ab.mask_of_names("") == 0
+    # a string is split on whitespace, never into characters, and a list
+    # element is a name as it stands
+    for names, unknown in [("ab", "ab"), (["a b"], "a b")]:
+        with pytest.raises(UnknownConstant) as info:
+            ab.mask_of_names(names)
+        assert info.value.name == unknown
+    with pytest.raises(UnknownConstant):
+        ab.index_of("a b")
+
+
 def test_atom_and_term_require_a_member():
     with pytest.raises(ValueError):
         Atom(0)

@@ -3,20 +3,22 @@ import doctest
 import pytest
 
 import atomlat.script
-from atomlat.core import Signature
+from atomlat.core import Atom, Signature, Term
 from atomlat.errors import InvalidConstantName, ParseError, UndeclaredConstant, UnknownConstant
 from atomlat.script import (
     AtomDecl,
     Denial,
     ShowDirective,
     format_duple,
-    format_term,
     parse_duple_text,
     parse_script,
     parse_term_text,
     run_script,
 )
-from atomlat.serialize import model_from_json
+from atomlat.model import new_model
+from atomlat.serialize import model_from_dict, model_from_json
+
+from conftest import seeded
 
 CROSS_SCRIPT = """\
 constants a b c d e
@@ -106,6 +108,66 @@ def test_hash_rejected_in_every_form():
     assert Signature.of(["a'", "b"]).names == ("a'", "b")
 
 
+def test_sentence_separator_rejected_in_every_form():
+    # a constant named "<=" could never be used: every sentence holding it
+    # would show two separators
+    with pytest.raises(InvalidConstantName):
+        Signature.of("a <=")
+    with pytest.raises(ParseError) as info:
+        parse_script("constants a\nconstants <= b\n")
+    assert info.value.line == 2
+    with pytest.raises(InvalidConstantName):
+        model_from_json('{"constants": ["a", "<="], "atoms": [["a"], ["<="]]}')
+    # only the whole token is reserved
+    script = parse_script("constants a<=b c\nassert a<=b <= c\n")
+    assert script.positives()[0].left.names(script.sig) == ("a<=b",)
+
+
+def test_every_input_path_resolves_names_alike():
+    # library calls, term arguments, scripts and model documents all read
+    # names through Signature.mask_of_names: the same names give the same
+    # bits, and an undeclared one fails every path on the same name
+    rng = seeded(75)
+    sig = Signature.of("a b c1 d_2 e")
+    pool = list(sig.names) + ["ab", "q", "c"]
+    agreed = failed = 0
+    for _ in range(400):
+        names = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        text = rng.choice([" ", "  ", "\t"]).join(names)
+        script = f"constants {' '.join(sig.names)}\natom {text}\nassert {text} <= a\n"
+        doc = {"constants": list(sig.names), "atoms": [names, list(sig.names)]}
+        unknown = next((name for name in names if name not in sig.names), None)
+        if unknown is None:
+            agreed += 1
+            mask = 0
+            for name in names:
+                mask |= 1 << sig.names.index(name)
+            assert sig.mask_of_names(text) == sig.mask_of_names(names) == mask
+            assert sig.term(text) == sig.term(names) == parse_term_text(sig, text) == Term(mask)
+            assert sig.atom(text) == sig.atom(names) == Atom(mask)
+            parsed = parse_script(script)
+            assert parsed.atoms() == (Atom(mask),)
+            assert parsed.positives()[0].left == Term(mask)
+            assert model_from_dict(doc) == new_model(sig, [Atom(mask), Atom(sig.full_mask)])
+            continue
+        failed += 1
+        for call in [
+            lambda: sig.mask_of_names(text),
+            lambda: sig.mask_of_names(names),
+            lambda: sig.term(names),
+            lambda: sig.atom(text),
+            lambda: parse_term_text(sig, text),
+            lambda: model_from_dict(doc),
+        ]:
+            with pytest.raises(UnknownConstant) as info:
+                call()
+            assert info.value.name == unknown
+        with pytest.raises(UndeclaredConstant) as info:
+            parse_script(script)
+        assert (info.value.line, info.value.name) == (2, unknown)
+    assert agreed > 50 and failed > 50
+
+
 def test_malformed_sentence_reports_line():
     with pytest.raises(ParseError) as info:
         parse_script("constants a b\nassert a b\n")
@@ -149,7 +211,7 @@ def test_parse_term_and_duple_text():
 def test_format_round_trip():
     sig = Signature.of("a b c")
     t = sig.term("c a")
-    assert format_term(sig, t) == "a c"
+    assert t.label(sig) == "a c"
     d = parse_duple_text(sig, "c a <= b")
     assert format_duple(sig, d) == "a c <= b"
 
