@@ -1,12 +1,17 @@
 """Structural constructions over atomized models.
 
-Everything here is built from two primitives: the atom image :func:`map_atoms`
-(each source constant maps to a set of target constants, possibly empty,
-applied to every atom's upper segment) and full crossing, chained through the
-one crossing loop :func:`atomlat.crossing.cross_positives` without reduction.
-Restriction, quotients, joins, subalgebras, products, the embedding into a
-free model and the subdirect decomposition are all short compositions of
-those two.
+Everything here is atom images plus one crossing chain. The atom image
+:func:`map_atoms` sends each source constant to a set of target constants,
+possibly empty, and applies that to every atom's upper segment. The identify
+step forces pairs of terms equal by full crossing in both directions,
+chained through the one crossing loop :func:`atomlat.crossing.cross_positives`
+without reduction. Restriction and renaming are atom images; a quotient
+identifies two terms; a join places two atom sets side by side and
+identifies the shared constants; the crossing route of a subalgebra joins
+the free model on the fresh names, identifies each with its generator and
+restricts. A product unites two atom images on the pair grid, and the
+embedding into a free model and the subdirect decomposition read the atoms
+off directly.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     UnknownConstant,
     UnknownTargetConstant,
 )
-from .crossing import cross_positives
+from .crossing import cross_positives, freest_model
 from .model import AtomColumns, Model, _require_in_sig, is_redundant, new_model, reduce, union_model
 
 
@@ -108,53 +113,45 @@ def _restrict_to_indices(model: Model, indices: list[int]) -> Model:
     return map_atoms(model, images, sub_sig)
 
 
+def _identify(model: Model, pairs: Iterable[tuple[Term, Term]]) -> Model:
+    """Force each pair of terms equal: cross ``s <= t``, then ``t <= s``, in order."""
+    duples = [d for s, t in pairs for d in (Duple(s, t), Duple(t, s))]
+    return cross_positives(model, duples, "never")
+
+
 def quotient(model: Model, a: Term, b: Term) -> Model:
     """The quotient by the principal congruence identifying two terms.
 
     Computed by crossing both directions: first b <= a, then a <= b.
     """
-    return cross_positives(model, [Duple(b, a), Duple(a, b)], "never")
-
-
-def _shift_atoms(model: Model, offset: int) -> list[Atom]:
-    return [Atom(atom.mask << offset) for atom in model.atoms]
-
-
-def _fresh_prime(name: str, taken: set[str]) -> str:
-    fresh = name + "'"
-    while fresh in taken:
-        fresh += "'"
-    return fresh
+    return _identify(model, [(b, a)])
 
 
 def join(m: Model, n: Model) -> Model:
     """The freest model over the merged constants satisfying both theories.
 
-    With disjoint constant sets this is just the union of the atom sets. A
-    shared constant c is first split: n's copy is renamed to a fresh primed
-    name c', the models are united over the extended signature, c = c' is
-    enforced by crossing both directions, and the primes are restricted away.
+    The two atom sets are first placed side by side, n's constants after m's.
+    With disjoint constant sets that is the join. A shared constant c is
+    split: n's copy gets a fresh primed name c', c' is identified with c by
+    crossing both directions, and the primes are restricted away.
     """
-    shared = [name for name in n.sig.names if name in m.sig]
     offset = len(m.sig)
-    if not shared:
-        ext = Signature(m.sig.names + n.sig.names)
-        return new_model(ext, list(m.atoms) + _shift_atoms(n, offset))
     taken = set(m.sig.names) | set(n.sig.names)
-    primed = {}
-    for name in shared:
-        primed[name] = _fresh_prime(name, taken)
-        taken.add(primed[name])
-    ext = Signature(m.sig.names + tuple(primed.get(name, name) for name in n.sig.names))
-    united = new_model(ext, list(m.atoms) + _shift_atoms(n, offset))
-    duples = []
-    for name in shared:
-        original = Term(1 << m.sig.index_of(name))
-        copy = Term(1 << (offset + n.sig.index_of(name)))
-        duples += [Duple(copy, original), Duple(original, copy)]
-    crossed = cross_positives(united, duples, "never")
-    kept = [i for i, name in enumerate(ext.names) if name not in primed.values()]
-    return _restrict_to_indices(crossed, kept)
+    names, pairs, copies = list(m.sig.names), [], 0
+    for j, name in enumerate(n.sig.names):
+        if name in m.sig:
+            copies |= 1 << (offset + j)
+            pairs.append((Term(1 << (offset + j)), Term(1 << m.sig.index_of(name))))
+            while name in taken:
+                name += "'"
+            taken.add(name)
+        names.append(name)
+    ext = Signature(tuple(names))
+    united = new_model(ext, list(m.atoms) + [Atom(atom.mask << offset) for atom in n.atoms])
+    if not pairs:
+        return united
+    crossed = _identify(united, pairs)
+    return _restrict_to_indices(crossed, list(bit_indices(ext.full_mask & ~copies)))
 
 
 SUBALGEBRA_ROUTES = ("rename", "crossing")
@@ -169,9 +166,9 @@ def subalgebra(
     """The subalgebra generated by the given terms, one fresh name per term.
 
     The rename route maps each source constant onto the names of the
-    generators containing it. The crossing route adjoins the fresh names as
-    free constants, forces each equal to its generator term by crossing both
-    directions, and restricts to the fresh names. Both atomize the same
+    generators containing it. The crossing route joins the model with the
+    free model on the fresh names, identifies each fresh name with its
+    generator term, and restricts to the fresh names. Both atomize the same
     semilattice and agree after reduction.
     """
     if isinstance(names, str):
@@ -198,17 +195,10 @@ def subalgebra(
         return map_atoms(model, images, Signature(names))
 
     offset = len(model.sig)
-    ext = Signature(model.sig.names + names)
-    adjoined = new_model(
-        ext,
-        list(model.atoms) + [Atom(1 << (offset + i)) for i in range(len(names))],
-    )
-    duples = []
-    for i, term in enumerate(generators):
-        fresh = Term(1 << (offset + i))
-        duples += [Duple(term, fresh), Duple(fresh, term)]
-    crossed = cross_positives(adjoined, duples, "never")
-    return _restrict_to_indices(crossed, list(range(offset, offset + len(names))))
+    fresh = range(offset, offset + len(names))
+    adjoined = join(model, freest_model(Signature(names)))
+    crossed = _identify(adjoined, [(term, Term(1 << i)) for term, i in zip(generators, fresh)])
+    return _restrict_to_indices(crossed, list(fresh))
 
 
 def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:
@@ -218,8 +208,9 @@ def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:
     rows of the pair grid, each n-atom over the columns, and the product is
     the union of the two spreads. Constants shared between the operands are
     treated as disjoint; with ``identify_diagonal`` each shared c is glued
-    back in by renaming "c*c" to c. Two pairs that spell the same name, such
-    as (x, y*z) and (x*y, z), raise :class:`NameCollision`.
+    back in by renaming "c*c" to c, which moves no atom. Two pairs that spell
+    the same name, such as (x, y*z) and (x*y, z), raise
+    :class:`NameCollision`, and so does a shared c that already names a pair.
     """
     width = len(n.sig)
     pairs: dict[str, tuple[str, str]] = {}
@@ -237,13 +228,13 @@ def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:
     result = union_model(map_atoms(m, row_masks, grid), map_atoms(n, col_masks, grid))
     if not identify_diagonal:
         return result
-    shared = [name for name in m.sig.names if name in n.sig]
-    if not shared:
-        return result
-    diagonal = {f"{name}*{name}": name for name in shared}
-    mapping = {g: (diagonal.get(g, g),) for g in grid.names}
-    target_names = tuple(diagonal.get(g, g) for g in grid.names)
-    return rename(result, RenameMap.of(mapping, target_names))
+    diagonal = {f"{name}*{name}": name for name in m.sig.names if name in n.sig}
+    for name in diagonal.values():
+        if name in pairs:
+            raise NameCollision(
+                f"shared constant {name!r} also names the pair {pairs[name]}"
+            )
+    return Model(Signature(tuple(diagonal.get(g, g) for g in grid.names)), result.atoms)
 
 
 @dataclass(frozen=True)

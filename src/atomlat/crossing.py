@@ -92,26 +92,24 @@ def cross_positives(
     """Cross the positive duples into ``model`` in order, under a reduce policy.
 
     ``on_step(k, current)`` sees the model after the first ``k`` duples,
-    starting at ``k = 0``. Under ``after_each`` a step is
-    :func:`fused_crossing` once the model is known to be reduced: from the
-    start if it already is, otherwise after the first step, which runs on the
-    reference path ``reduce(full_crossing(...))``. Under ``never`` every step
-    is :func:`full_crossing` and redundant atoms stay.
+    starting at ``k = 0`` with the start as given. Under ``after_each`` the
+    first step runs on the reference path ``reduce(full_crossing(...))``,
+    which reduces any start, and every later step is :func:`fused_crossing`
+    on the reduced model. Under ``never`` every step is :func:`full_crossing`
+    and redundant atoms stay. With no duples the start is returned unchanged.
     """
     if reduce_policy not in REDUCE_POLICIES:
         raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
     eager = reduce_policy == "after_each"
-    reduced = eager and reduce(model) is model
     if on_step is not None:
         on_step(0, model)
     for k, r in enumerate(positives, start=1):
-        if reduced:
+        if eager and k > 1:
             model = fused_crossing(model, r)
         else:
             model = full_crossing(model, r)
             if eager:
                 model = reduce(model)
-                reduced = True
         if on_step is not None:
             on_step(k, model)
     return model

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Atom, Duple, Signature, SignedDuple, Term, canonical_key
+from .core import Atom, Duple, Signature, SignedDuple, Term, canonical_key, zero_atom
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 
 ENUM_CAP_DEFAULT = 10
@@ -88,20 +88,19 @@ class TheorySlice:
 def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:
     """Canonical model constructor.
 
-    Deduplicates the atoms and sorts them canonically. If some constant ends
-    up covered by no atom, the zero atom is inserted so that the result is a
-    model, and a :class:`CoverageRepairWarning` is emitted.
+    Deduplicates the atoms by mask, keeping the caller's objects, and sorts
+    them canonically. If some constant ends up covered by no atom, the zero
+    atom is inserted so that the result is a model, and a
+    :class:`CoverageRepairWarning` is emitted.
     """
     full = sig.full_mask
-    masks = set()
-    for atom in atoms:
-        if atom.mask & ~full:
+    by_mask = {atom.mask: atom for atom in atoms}
+    covered = 0
+    for mask, atom in by_mask.items():
+        if mask & ~full:
             raise SignatureMismatch(
                 f"atom {atom.indices()} uses constants outside the signature"
             )
-        masks.add(atom.mask)
-    covered = 0
-    for mask in masks:
         covered |= mask
     if covered != full:
         uncovered = sig.names_of(full & ~covered)
@@ -110,9 +109,8 @@ def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:
             CoverageRepairWarning,
             stacklevel=2,
         )
-        masks.add(full)
-    ordered = sorted((Atom(m) for m in masks), key=canonical_key)
-    return Model(sig, tuple(ordered))
+        by_mask[full] = zero_atom(sig)
+    return Model(sig, tuple(sorted(by_mask.values(), key=canonical_key)))
 
 
 def lower_atomic_segment(model: Model, t: Term) -> tuple[Atom, ...]:

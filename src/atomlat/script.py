@@ -207,10 +207,10 @@ def run_script(
     Returns the final model and, per denial, whether the built model entails
     the denied sentence positively (an inconsistency). ``show`` directives
     are evaluated only when ``emit`` is given. Crossing runs through
-    :func:`atomlat.crossing.cross_positives`, so declared ``atom`` lines that
-    are not reduced meet the reference path first; a ``show`` before the
-    first ``assert``, and a script without one, see the declared atoms as
-    given.
+    :func:`atomlat.crossing.cross_positives`; under ``after_each`` its first
+    step takes the reference path, which also reduces declared ``atom``
+    lines. A ``show`` before the first ``assert``, and a script without one,
+    see the declared atoms as given.
     """
     declared = script.atoms()
     start = new_model(script.sig, declared) if declared else freest_model(script.sig)

@@ -463,6 +463,16 @@ def test_product_diagonal_identification():
     assert "c" in out.sig.names
     assert "c*c" not in out.sig.names
     assert "a*c" in out.sig.names
+    assert out.atoms == product(m, n).atoms
+
+
+def test_product_diagonal_rejects_a_shared_name_that_names_a_pair():
+    # p*q is shared, and it is also the name of the pair (p, q)
+    m = mk("p p*q", "p", "p*q")
+    n = mk("q p*q", "q", "p*q")
+    assert "p*q" in product(m, n).sig.names
+    with pytest.raises(NameCollision, match=r"'p\*q'.*\('p', 'q'\)"):
+        product(m, n, identify_diagonal=True)
 
 
 # --------------------------------------------------------------- subdirect
@@ -518,7 +528,7 @@ def test_subdirect_round_trip_reproduces_theory():
 
 
 def test_crossing_constructions_equal_explicit_full_crossing_chains():
-    rng = seeded(54)
+    rng, primed_rng = seeded(54), seeded(55)
     for _ in range(150):
         m = random_model(rng, "a b c d", max_atoms=8)
         a, b = random_term(rng, 4), random_term(rng, 4)
@@ -534,6 +544,16 @@ def test_crossing_constructions_equal_explicit_full_crossing_chains():
             crossed = full_crossing(crossed, Duple(copy, original))
             crossed = full_crossing(crossed, Duple(original, copy))
         assert join(m, n) == restrict(crossed, "a b c d e")
+
+        # the first prime of the shared c is taken, so n's copy of c is c''
+        mp = random_model(primed_rng, "a b c c'", max_atoms=8)
+        np_ = random_model(primed_rng, "c e", max_atoms=3)
+        ext = Signature(("a", "b", "c", "c'", "c''", "e"))
+        crossed = new_model(ext, mp.atoms + tuple(Atom(x.mask << 4) for x in np_.atoms))
+        original, copy = Term(1 << 2), Term(1 << 4)
+        crossed = full_crossing(crossed, Duple(copy, original))
+        crossed = full_crossing(crossed, Duple(original, copy))
+        assert join(mp, np_) == restrict(crossed, "a b c c' e")
 
         gens = [random_term(rng, 4) for _ in range(rng.randint(1, 3))]
         names = [f"g{i}" for i in range(len(gens))]

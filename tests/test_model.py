@@ -55,8 +55,24 @@ def test_new_model_empty_atom_set_gets_zero_atom():
 
 def test_new_model_rejects_foreign_masks():
     sig = Signature.of("a b")
-    with pytest.raises(SignatureMismatch):
+    message = r"^atom \(2,\) uses constants outside the signature$"
+    with pytest.raises(SignatureMismatch, match=message):
         new_model(sig, [Atom(0b100)])
+    # a repeated valid atom first, then two foreign ones: the first is named
+    with pytest.raises(SignatureMismatch, match=message):
+        new_model(sig, [Atom(0b01), Atom(0b11), Atom(0b01), Atom(0b100), Atom(0b1000)])
+
+
+def test_new_model_keeps_the_callers_atoms():
+    sig = Signature.of("a b c")
+    given = [sig.atom("c"), sig.atom("a b"), sig.atom("c")]
+    model = new_model(sig, given)
+    assert model.atoms == (Atom(0b011), Atom(0b100))
+    assert model.atoms[0] is given[1]
+    assert any(model.atoms[1] is atom for atom in (given[0], given[2]))
+    with pytest.warns(CoverageRepairWarning):
+        repaired = new_model(sig, given[:1])
+    assert repaired.atoms == (Atom(0b111), Atom(0b100))
 
 
 def test_segment_golden():
