@@ -13,7 +13,6 @@ from .core import (
     Atom,
     Duple,
     Signature,
-    SignedDuple,
     Term,
     pinning,
     zero_atom,
@@ -89,7 +88,6 @@ __all__ = [
     "RenameMap",
     "Script",
     "Signature",
-    "SignedDuple",
     "SubdirectComponent",
     "Term",
     "TheorySlice",

@@ -147,7 +147,10 @@ def join(m: Model, n: Model) -> Model:
             taken.add(name)
         names.append(name)
     ext = Signature(tuple(names))
-    united = new_model(ext, list(m.atoms) + [Atom(atom.mask << offset) for atom in n.atoms])
+    # m's atoms use only the low positions and n's shifted ones only the
+    # high ones, so the two canonical tuples end to end are canonical,
+    # distinct and covering.
+    united = Model(ext, m.atoms + tuple(Atom(atom.mask << offset) for atom in n.atoms))
     if not pairs:
         return united
     crossed = _identify(united, pairs)
@@ -261,12 +264,6 @@ class Decomposition:
     source: Model
     components: tuple[SubdirectComponent, ...]
     generators: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def generator_for(self, name: str) -> tuple[str, ...]:
-        for constant, coords in self.generators:
-            if constant == name:
-                return coords
-        raise UnknownConstant(name)
 
 
 def subdirect_decomposition(model: Model) -> Decomposition:

@@ -9,6 +9,7 @@ sentences, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -83,12 +84,16 @@ def _load_model(path: str, reduce_policy: str = "after_each") -> Model:
     return model
 
 
-def _write_result(args, text: str):
+def _result_stream(args):
+    """stdout, or the ``-o`` file opened for writing, to use in a ``with``."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _write_result(args, text: str):
+    with _result_stream(args) as out:
+        out.write(text)
 
 
 def _emit_model(args, model: Model) -> int:
@@ -107,7 +112,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_query(args) -> int:
     model = _load_model(args.file)
     duple = parse_duple_text(model.sig, args.duple)
-    answer = "positive" if holds(model, duple.signed(True)) else "negative"
+    answer = "positive" if holds(model, duple) else "negative"
     _write_result(args, answer + "\n")
     return EXIT_OK
 
@@ -168,10 +173,15 @@ def _cmd_check(args) -> int:
         print("error: check needs a script with sentences, not a model document", file=sys.stderr)
         return EXIT_ERROR
     script = parse_script(text)
-    model, verdicts = run_script(script, "after_each", emit=print, cap=args.cap)
+    with _result_stream(args) as out:
+        return _check_script(args, script, lambda line: out.write(line + "\n"))
+
+
+def _check_script(args, script, report) -> int:
+    _, verdicts = run_script(script, "after_each", emit=report, cap=args.cap)
     for denial, entailed in verdicts:
         status = "ENTAILED-POSITIVE" if entailed else "SATISFIABLE"
-        print(f"deny {format_duple(script.sig, denial.duple)}: {status}")
+        report(f"deny {format_duple(script.sig, denial.duple)}: {status}")
     if args.oracle:
         if script.atoms():
             print(
@@ -187,9 +197,9 @@ def _cmd_check(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_ERROR
-        print("oracle agrees")
+        report("oracle agrees")
     inconsistent = any(entailed for _, entailed in verdicts)
-    print("inconsistent" if inconsistent else "consistent")
+    report("inconsistent" if inconsistent else "consistent")
     return EXIT_INCONSISTENT if inconsistent else EXIT_OK
 
 
@@ -215,14 +225,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, transform and check atomized semilattice models.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT,
-                        help="enumeration cap on the number of constants")
     common.add_argument("-o", "--output", help="write the result to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name, handler, help_text, cap=False):
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("file", help="model JSON document or script (- for stdin)")
+        if cap:
+            p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT,
+                           help="enumeration cap on the number of constants")
         p.set_defaults(handler=handler)
         return p
 
@@ -251,13 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names", nargs="+", required=True, metavar="NAME")
     add("decompose", _cmd_decompose, "subdirect decomposition into two-element factors")
     add("embed-free", _cmd_embed_free, "embedding data into a free model, one constant per atom")
-    p = add("check", _cmd_check, "report each denied sentence as satisfiable or entailed")
+    p = add("check", _cmd_check, "report each denied sentence as satisfiable or entailed",
+            cap=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check entailment against the closure oracle")
-    p = add("export", _cmd_export, "serialize the model")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="model JSON (default)")
-    group.add_argument("--dot", action="store_true", help="Hasse diagram in DOT format")
+    p = add("export", _cmd_export, "serialize the model", cap=True)
+    p.add_argument("--dot", action="store_true", help="Hasse diagram in DOT format, not JSON")
     return parser
 
 

@@ -175,26 +175,10 @@ class Term(_ConstantSet):
 
 @dataclass(frozen=True)
 class Duple:
-    """An ordered pair of terms; read positively it claims left <= right."""
+    """An ordered pair of terms, the sentence left <= right."""
 
     left: Term
     right: Term
-
-    def signed(self, positive: bool) -> "SignedDuple":
-        return SignedDuple(self.left, self.right, positive)
-
-
-@dataclass(frozen=True)
-class SignedDuple:
-    """A duple together with the claim's polarity."""
-
-    left: Term
-    right: Term
-    positive: bool
-
-    @property
-    def duple(self) -> Duple:
-        return Duple(self.left, self.right)
 
 
 def zero_atom(sig: Signature) -> Atom:
@@ -202,13 +186,13 @@ def zero_atom(sig: Signature) -> Atom:
     return Atom(sig.full_mask)
 
 
-def pinning(phi: Atom, sig: Signature) -> tuple[Term, tuple[SignedDuple, ...]]:
-    """The pinning term of ``phi`` and its pinning duples.
+def pinning(phi: Atom, sig: Signature) -> tuple[Term, tuple[Duple, ...]]:
+    """The pinning term of ``phi`` and its pinning duples, which ``phi`` denies.
 
     The pinning term sums the constants outside the atom's upper segment; the
-    pinning duples deny, for each constant c above the atom, that c lies below
-    that term. Undefined for the zero atom, whose upper segment leaves no
-    constants to sum.
+    pinning duples say, for each constant c above the atom, that c lies below
+    that term, and ``phi`` falsifies each of them. Undefined for the zero
+    atom, whose upper segment leaves no constants to sum.
     """
     rest = sig.full_mask & ~phi.mask
     if rest == 0:
@@ -216,10 +200,7 @@ def pinning(phi: Atom, sig: Signature) -> tuple[Term, tuple[SignedDuple, ...]]:
             "the zero atom leaves no constants for a pinning term"
         )
     pin = Term(rest)
-    duples = tuple(
-        SignedDuple(Term(1 << i), pin, positive=False) for i in bit_indices(phi.mask)
-    )
-    return pin, duples
+    return pin, tuple(Duple(Term(1 << i), pin) for i in bit_indices(phi.mask))
 
 
 _KEY_DIGITS = str.maketrans("01", "10")

@@ -17,9 +17,36 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import Atom, Duple, Signature, canonical_key
-from .model import AtomColumns, Model, _require_in_sig, holds, new_model, reduce
+from .model import AtomColumns, Model, _require_in_sig, holds, reduce
 
 REDUCE_POLICIES = ("after_each", "never")
+
+
+def _partition(model: Model, r: Duple) -> tuple[list[Atom], list[int], list[int]]:
+    """The atoms that crossing ``r`` keeps, the moved (discriminant) masks,
+    and the masks below the right term, whose atoms are among the kept."""
+    left, right = r.left.mask, r.right.mask
+    _require_in_sig(model.sig, left | right)
+    kept, moved, below = [], [], []
+    for atom in model.atoms:
+        mask = atom.mask
+        if mask & right:
+            below.append(mask)
+        elif mask & left:
+            moved.append(mask)
+            continue
+        kept.append(atom)
+    return kept, moved, below
+
+
+def _with_unions(sig: Signature, kept: list[Atom], unions: Iterable[int]) -> Model:
+    """The kept atoms plus one atom per new union mask, in canonical order.
+
+    A crossing needs no :func:`new_model` check: its masks stay inside the
+    signature, and each moved ``h`` gives way to unions ``h | b ⊇ h``.
+    """
+    kept.extend(Atom(u) for u in unions)
+    return Model(sig, tuple(sorted(kept, key=canonical_key)))
 
 
 def full_crossing(model: Model, r: Duple) -> Model:
@@ -27,19 +54,15 @@ def full_crossing(model: Model, r: Duple) -> Model:
 
     If the duple already holds, the model is returned unchanged. Otherwise
     the discriminant atoms are replaced by their unions with every atom below
-    the right term; duplicates produced by the union grid merge immediately.
-    This is the reference crossing: it works on any atom set, reduced or not.
+    the right term; duplicates produced by the union grid merge immediately,
+    and the atoms the crossing keeps are the caller's own objects. This is
+    the reference crossing: it works on any atom set, reduced or not.
     """
-    _require_in_sig(model.sig, r.left.mask | r.right.mask)
-    moved = {a.mask for a in model.atoms if a.mask & r.left.mask and not a.mask & r.right.mask}
+    kept, moved, below = _partition(model, r)
     if not moved:
         return model
-    below_right = [a.mask for a in model.atoms if a.mask & r.right.mask]
-    masks = {a.mask for a in model.atoms} - moved
-    for h in moved:
-        for b in below_right:
-            masks.add(h | b)
-    return new_model(model.sig, (Atom(m) for m in masks))
+    unions = {h | b for h in moved for b in below}.difference(atom.mask for atom in kept)
+    return _with_unions(model.sig, kept, unions)
 
 
 def fused_crossing(model: Model, r: Duple) -> Model:
@@ -61,17 +84,7 @@ def fused_crossing(model: Model, r: Duple) -> Model:
     that is not reduced the result can differ from the reference; use
     ``reduce(full_crossing(model, r))`` there.
     """
-    left, right = r.left.mask, r.right.mask
-    _require_in_sig(model.sig, left | right)
-    kept, moved, below = [], [], []
-    for atom in model.atoms:
-        mask = atom.mask
-        if mask & right:
-            below.append(mask)
-        elif mask & left:
-            moved.append(mask)
-            continue
-        kept.append(atom)
+    kept, moved, below = _partition(model, r)
     if not moved:
         return model
     below_index = AtomColumns(below, len(model.sig))
@@ -79,8 +92,7 @@ def fused_crossing(model: Model, r: Duple) -> Model:
     survivors = [atom.mask for atom in kept]
     unions = list({h | b for h in moved for b in minimal}.difference(survivors))
     index = AtomColumns(survivors + unions, len(model.sig))
-    kept.extend(Atom(u) for u in unions if not index.redundant(u))
-    return Model(model.sig, tuple(sorted(kept, key=canonical_key)))
+    return _with_unions(model.sig, kept, [u for u in unions if not index.redundant(u)])
 
 
 def cross_positives(
@@ -126,7 +138,7 @@ def freest_model(
     only controls when redundant atoms are dropped; the semilattice itself is
     independent of it, and of the duple order.
     """
-    singletons = new_model(sig, (Atom(1 << i) for i in range(len(sig))))
+    singletons = Model(sig, tuple(Atom(1 << i) for i in range(len(sig))))
     return cross_positives(singletons, positives, reduce_policy)
 
 
@@ -158,7 +170,7 @@ def check_consistency(
     satisfiable = []
     entailed = []
     for r in negatives:
-        if holds(model, r.signed(True)):
+        if holds(model, r):
             entailed.append(r)
         else:
             satisfiable.append(r)

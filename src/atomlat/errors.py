@@ -17,8 +17,7 @@ class InvalidConstantName(AtomlatError):
     """Constant names are non-empty strings without whitespace or ``#``, and not ``<=``.
 
     ``#`` opens a comment in scripts and ``<=`` separates the two terms of a
-    sentence. Scripts also reject ``'``, which :func:`atomlat.algebra.join`
-    appends to name its intermediate copies.
+    sentence. The rule is the same for scripts, JSON and library calls.
     """
 
 

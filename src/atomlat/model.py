@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Atom, Duple, Signature, SignedDuple, Term, canonical_key, zero_atom
+from .core import Atom, Duple, Signature, Term, canonical_key, zero_atom
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 
 ENUM_CAP_DEFAULT = 10
@@ -23,8 +23,11 @@ ENUM_CAP_DEFAULT = 10
 class Model:
     """An atomized model: a signature plus canonically ordered atoms.
 
-    Build through :func:`new_model`, which deduplicates, sorts and repairs
-    constant coverage; direct construction performs no checks.
+    The atoms are distinct, lie inside the signature and cover every
+    constant. Direct construction performs no checks: the engine's own steps
+    (crossing, :func:`reduce`, the singletons of a freest model, the
+    side-by-side atoms of a join) keep these facts by construction, and
+    atoms from anywhere else go through :func:`new_model`.
     """
 
     sig: Signature
@@ -86,11 +89,14 @@ class TheorySlice:
 
 
 def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:
-    """Canonical model constructor.
+    """Canonical model constructor, for atoms the engine did not make.
 
-    Deduplicates the atoms by mask, keeping the caller's objects, and sorts
-    them canonically. If some constant ends up covered by no atom, the zero
-    atom is inserted so that the result is a model, and a
+    It serves atom lists from outside (model documents, script ``atom``
+    lines, library lists) and atom images (``map_atoms``, ``union_model``),
+    where duplicates or lost coverage can occur. It rejects an atom outside
+    the signature, deduplicates the atoms by mask, keeping the caller's
+    objects, and sorts them canonically. If some constant ends up covered by
+    no atom, the zero atom is inserted so that the result is a model, and a
     :class:`CoverageRepairWarning` is emitted.
     """
     full = sig.full_mask
@@ -132,10 +138,10 @@ def discriminant(model: Model, a: Term, b: Term) -> tuple[Atom, ...]:
     )
 
 
-def holds(model: Model, d: SignedDuple) -> bool:
-    """Whether the signed duple is satisfied by the model."""
-    empty = not discriminant(model, d.left, d.right)
-    return empty if d.positive else not empty
+def holds(model: Model, d: Duple) -> bool:
+    """Whether the model entails the duple: no atom below its left term
+    misses its right term."""
+    return not discriminant(model, d.left, d.right)
 
 
 def is_redundant(model: Model, phi: Atom) -> bool:

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Atom, Duple, Signature, Term
-from .errors import InvalidConstantName, ParseError, UndeclaredConstant, UnknownConstant
+from .errors import (
+    DuplicateConstant,
+    InvalidConstantName,
+    ParseError,
+    UndeclaredConstant,
+    UnknownConstant,
+)
 from .crossing import cross_positives, freest_model
 from .model import (
     ENUM_CAP_DEFAULT,
@@ -39,7 +45,6 @@ from .model import (
     new_model,
 )
 
-RESERVED_IN_NAMES = ("'",)
 SHOW_SECTIONS = ("atoms", "elements", "theory")
 
 
@@ -80,15 +85,6 @@ class Script:
 
     def positives(self) -> tuple[Duple, ...]:
         return tuple(s.duple for s in self.statements if isinstance(s, Assertion))
-
-    def negatives(self) -> tuple[Duple, ...]:
-        return tuple(s.duple for s in self.statements if isinstance(s, Denial))
-
-
-def _check_name(line: int, name: str):
-    for ch in RESERVED_IN_NAMES:
-        if ch in name:
-            raise ParseError(line, f"character {ch!r} is reserved and cannot appear in {name!r}")
 
 
 def _term_from_tokens(sig: Signature, line: int | None, tokens: list[str]) -> Term:
@@ -132,14 +128,10 @@ def parse_script(text: str) -> Script:
                 raise ParseError(lineno, "constants must be declared before any statement")
             if not rest:
                 raise ParseError(lineno, "constants line needs at least one name")
-            for name in rest:
-                _check_name(lineno, name)
-                if name in names:
-                    raise ParseError(lineno, f"constant {name!r} declared twice")
-                names.append(name)
+            names += rest
             try:
                 sig = Signature(tuple(names))
-            except InvalidConstantName as exc:
+            except (InvalidConstantName, DuplicateConstant) as exc:
                 raise ParseError(lineno, str(exc)) from None
             continue
         if sig is None:
@@ -229,7 +221,7 @@ def run_script(
     on_step = show if emit is not None and shows else None
     model = cross_positives(start, script.positives(), reduce_policy, on_step=on_step)
     verdicts = tuple(
-        (statement, holds(model, statement.duple.signed(True)))
+        (statement, holds(model, statement.duple))
         for statement in script.statements
         if isinstance(statement, Denial)
     )

@@ -9,6 +9,7 @@ import random
 
 from atomlat.core import Atom, Duple, Signature, Term, canonical_key
 from atomlat.model import Model
+from atomlat.oracle import axiom_check
 
 
 def sig_of(names):
@@ -56,6 +57,12 @@ def random_model(rng, names, max_atoms=6, ensure_singleton=False):
         masks.add(full)
     atoms = sorted((Atom(mask) for mask in masks), key=canonical_key)
     return Model(sig, tuple(atoms))
+
+
+def valid(model):
+    """Whether the atoms are what ``new_model`` would make of them: inside
+    the signature, distinct, covering and in canonical order."""
+    return axiom_check(model).ok and list(model.atoms) == sorted(model.atoms, key=canonical_key)
 
 
 def seeded(seed):

@@ -36,7 +36,7 @@ from atomlat.model import (
 )
 from atomlat.oracle import closure_oracle
 
-from conftest import duple, mk, random_duple, random_model, random_term, seeded
+from conftest import duple, mk, random_duple, random_model, random_term, seeded, valid
 
 
 def atom_names(model):
@@ -528,11 +528,22 @@ def test_subdirect_round_trip_reproduces_theory():
 
 
 def test_crossing_constructions_equal_explicit_full_crossing_chains():
-    rng, primed_rng = seeded(54), seeded(55)
+    # no runtime check guards crossing outputs, so each one is checked here
+    def cross(model, r):
+        out = full_crossing(model, r)
+        assert valid(out)
+        return out
+
+    def joined(m, n):
+        out = join(m, n)
+        assert valid(out)
+        return out
+
+    rng, primed_rng, disjoint_rng = seeded(54), seeded(55), seeded(56)
     for _ in range(150):
         m = random_model(rng, "a b c d", max_atoms=8)
         a, b = random_term(rng, 4), random_term(rng, 4)
-        expected = full_crossing(full_crossing(m, Duple(b, a)), Duple(a, b))
+        expected = cross(cross(m, Duple(b, a)), Duple(a, b))
         assert quotient(m, a, b) == expected
 
         # join over the shared c and d: each primed copy equals its original
@@ -541,9 +552,9 @@ def test_crossing_constructions_equal_explicit_full_crossing_chains():
         crossed = new_model(ext, m.atoms + tuple(Atom(x.mask << 4) for x in n.atoms))
         for i in (2, 3):
             original, copy = Term(1 << i), Term(1 << (i + 2))
-            crossed = full_crossing(crossed, Duple(copy, original))
-            crossed = full_crossing(crossed, Duple(original, copy))
-        assert join(m, n) == restrict(crossed, "a b c d e")
+            crossed = cross(crossed, Duple(copy, original))
+            crossed = cross(crossed, Duple(original, copy))
+        assert joined(m, n) == restrict(crossed, "a b c d e")
 
         # the first prime of the shared c is taken, so n's copy of c is c''
         mp = random_model(primed_rng, "a b c c'", max_atoms=8)
@@ -551,9 +562,15 @@ def test_crossing_constructions_equal_explicit_full_crossing_chains():
         ext = Signature(("a", "b", "c", "c'", "c''", "e"))
         crossed = new_model(ext, mp.atoms + tuple(Atom(x.mask << 4) for x in np_.atoms))
         original, copy = Term(1 << 2), Term(1 << 4)
-        crossed = full_crossing(crossed, Duple(copy, original))
-        crossed = full_crossing(crossed, Duple(original, copy))
-        assert join(mp, np_) == restrict(crossed, "a b c c' e")
+        crossed = cross(crossed, Duple(copy, original))
+        crossed = cross(crossed, Duple(original, copy))
+        assert joined(mp, np_) == restrict(crossed, "a b c c' e")
+
+        # disjoint constants: the join is the side-by-side atom set itself
+        disjoint = random_model(disjoint_rng, "x y", max_atoms=3)
+        assert joined(m, disjoint) == new_model(
+            Signature.of("a b c d x y"), m.atoms + tuple(Atom(x.mask << 4) for x in disjoint.atoms)
+        )
 
         gens = [random_term(rng, 4) for _ in range(rng.randint(1, 3))]
         names = [f"g{i}" for i in range(len(gens))]
@@ -561,8 +578,8 @@ def test_crossing_constructions_equal_explicit_full_crossing_chains():
         crossed = new_model(ext, m.atoms + tuple(Atom(1 << (4 + i)) for i in range(len(gens))))
         for i, term in enumerate(gens):
             fresh = Term(1 << (4 + i))
-            crossed = full_crossing(crossed, Duple(term, fresh))
-            crossed = full_crossing(crossed, Duple(fresh, term))
+            crossed = cross(crossed, Duple(term, fresh))
+            crossed = cross(crossed, Duple(fresh, term))
         assert subalgebra(m, gens, names, route="crossing") == restrict(crossed, names)
 
 

@@ -209,6 +209,36 @@ def test_check_oracle_rejects_atom_scripts(tmp_path, capsys):
     assert main(["check", "--oracle", script]) == 2
 
 
+def test_check_output_flag_writes_the_report(tmp_path, capsys):
+    text = "constants a b c\nshow atoms\nassert a <= b\ndeny b <= a\ndeny a <= a b\n"
+    script = write(tmp_path, "m.al", text)
+    assert main(["check", "--oracle", script]) == 1
+    report = capsys.readouterr().out
+    assert report.startswith("atom a\natom b\natom c\ndeny b <= a: SATISFIABLE\n")
+    target = tmp_path / "report.txt"
+    assert main(["check", "--oracle", script, "-o", str(target)]) == 1
+    assert capsys.readouterr() == ("", "")
+    assert target.read_text() == report
+    # a step that fails after the report began keeps what came before it
+    wide = write(tmp_path, "w.al", "constants a b c\nshow atoms\nshow theory\n")
+    assert main(["check", "--cap", "2", wide, "-o", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == "atom a\natom b\natom c\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--cap", "5"],
+    ["query", "--cap", "5", "b <= a"],
+    ["export", "--json"],
+])
+def test_options_nothing_reads_are_rejected(tmp_path, capsys, argv):
+    model = write(tmp_path, "m.json", JOIN_M)
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + [model] + argv[1:])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_export_dot(tmp_path, capsys):
     m = write(tmp_path, "m.json", json.dumps(
         {"constants": ["a", "b"], "atoms": [["a"], ["b"]]}

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from atomlat.core import (
     Atom,
-    Duple,
     Signature,
     Term,
     canonical_key,
@@ -88,12 +87,6 @@ def test_term_join_is_componentwise_union():
     assert t == ABCDE.term("a b d")
 
 
-def test_duple_signing():
-    r = Duple(ABCDE.term("b"), ABCDE.term("a d"))
-    assert r.signed(True).duple == r
-    assert r.signed(False).positive is False
-
-
 def test_atom_union_golden():
     assert ABCDE.atom("a b").union(ABCDE.atom("b c")) == ABCDE.atom("a b c")
     assert ABCDE.atom("a").union(ABCDE.atom("a")) == ABCDE.atom("a")
@@ -122,9 +115,10 @@ def test_canonical_key_orders_lexicographically():
 
 
 def test_pinning_golden():
-    term, sentences = pinning(ABCDE.atom("b e"), ABCDE)
+    phi = ABCDE.atom("b e")
+    term, sentences = pinning(phi, ABCDE)
     assert term == ABCDE.term("a c d")
-    assert [s.positive for s in sentences] == [False, False]
+    assert all(s.left.mask & phi.mask and not s.right.mask & phi.mask for s in sentences)
     assert {s.left for s in sentences} == {ABCDE.term("b"), ABCDE.term("e")}
     assert all(s.right == term for s in sentences)
 

@@ -11,10 +11,10 @@ import pytest
 from atomlat.core import Atom, Duple, Signature, Term
 from atomlat.crossing import freest_model, full_crossing, fused_crossing
 from atomlat.errors import SignatureMismatch
-from atomlat.model import Model, holds, is_redundant, new_model, reduce
+from atomlat.model import Model, discriminant, holds, is_redundant, new_model, reduce
 from atomlat.script import Assertion, ShowDirective, parse_script, run_script
 
-from conftest import random_duple, random_term, seeded
+from conftest import random_duple, random_term, seeded, valid
 
 
 def sig_of_size(n):
@@ -50,9 +50,10 @@ def test_fused_matches_reference_on_random_reduced_models():
             r = Duple(left, left.join(random_term(rng, n)))
         else:
             r = random_duple(rng, n)
-        fused = fused_crossing(m, r)
-        assert fused == reduce(full_crossing(m, r))
-        if holds(m, r.signed(True)):
+        fused, full = fused_crossing(m, r), full_crossing(m, r)
+        assert valid(fused) and valid(full)
+        assert fused == reduce(full)
+        if holds(m, r):
             already_held += 1
             assert fused is m
     assert already_held >= 900
@@ -66,8 +67,11 @@ def test_fused_matches_reference_along_freest_builds():
         m = new_model(sig, (Atom(1 << i) for i in range(n)))
         for _ in range(rng.randint(1, 3 * n)):
             r = random_duple(rng, n)
-            expected = reduce(full_crossing(m, r))
-            assert fused_crossing(m, r) == expected
+            full = full_crossing(m, r)
+            expected = reduce(full)
+            fused = fused_crossing(m, r)
+            assert valid(full) and valid(fused)
+            assert fused == expected
             m = expected
 
 
@@ -78,6 +82,21 @@ def test_fused_running_example():
     assert [a.label(sig) for a in fused_crossing(m, r).atoms] == [
         "a", "a b", "a b e", "b d e", "c", "c d e", "d",
     ]
+
+
+def test_full_crossing_keeps_the_callers_atoms():
+    rng = seeded(2028)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        m = new_model(sig_of_size(n), map(Atom, covered_masks(rng, n, rng.randint(1, 3 * n))))
+        r = random_duple(rng, n)
+        out = full_crossing(m, r)
+        assert valid(out)
+        by_mask = {atom.mask: atom for atom in m.atoms}
+        moved = {atom.mask for atom in discriminant(m, r.left, r.right)}
+        kept = [atom for atom in out.atoms if atom.mask in by_mask.keys() - moved]
+        assert len(kept) == len(m.atoms) - len(moved)
+        assert all(atom is by_mask[atom.mask] for atom in kept)
 
 
 def test_fused_signature_mismatch():
@@ -170,5 +189,7 @@ def test_freest_model_matches_step_by_step_reference_at_n24():
     duples = [random_duple(rng, n) for _ in range(120)]
     model = new_model(sig, (Atom(1 << i) for i in range(n)))
     for r in duples:
-        model = reduce(full_crossing(model, r))
+        crossed = full_crossing(model, r)
+        assert valid(crossed)
+        model = reduce(crossed)
     assert freest_model(sig, duples) == model

@@ -114,27 +114,26 @@ def test_discriminant_hand_case():
 
 def test_holds_golden():
     d = Duple(ABCDE.term("b"), ABCDE.term("a d"))
-    assert holds(CROSS_SOURCE, d.signed(False))
-    assert not holds(CROSS_SOURCE, d.signed(True))
+    assert not holds(CROSS_SOURCE, d)
 
 
 def test_holds_reflexive():
     t = ABCDE.term("a c")
-    assert holds(CROSS_SOURCE, Duple(t, t).signed(True))
+    assert holds(CROSS_SOURCE, Duple(t, t))
 
 
 def test_holds_collapsed_pair():
     m = mk("a b c", "c", "a b c")
     a, b = m.sig.term("a"), m.sig.term("b")
-    assert holds(m, Duple(a, b).signed(True))
-    assert holds(m, Duple(b, a).signed(True))
+    assert holds(m, Duple(a, b))
+    assert holds(m, Duple(b, a))
 
 
 def test_holds_and_discriminant_reject_foreign_constants():
     m = mk("a b", "a", "b")
     foreign = Duple(Term(0b100), Term(0b01))
     with pytest.raises(SignatureMismatch):
-        holds(m, foreign.signed(True))
+        holds(m, foreign)
     with pytest.raises(SignatureMismatch):
         discriminant(m, Term(0b01), Term(0b100))
 

@@ -3,6 +3,7 @@ import doctest
 import pytest
 
 import atomlat.script
+from atomlat.algebra import join
 from atomlat.core import Atom, Signature, Term
 from atomlat.errors import InvalidConstantName, ParseError, UndeclaredConstant, UnknownConstant
 from atomlat.script import (
@@ -89,8 +90,6 @@ def test_atoms_must_precede_sentences():
 
 
 def test_reserved_characters_rejected():
-    with pytest.raises(ParseError):
-        parse_script("constants a b'\n")
     # a hash can never reach a name: it always opens a comment
     script = parse_script("constants a#b\n")
     assert script.sig.names == ("a",)
@@ -104,8 +103,22 @@ def test_hash_rejected_in_every_form():
     with pytest.raises(InvalidConstantName):
         model_from_json('{"constants": ["a#", "b"], "atoms": [["a#"], ["b"]]}')
     assert "a#" not in parse_script("constants a# b\n").sig
-    # primes stay legal outside scripts: join mints primed copies
+    # primes are legal everywhere: join mints fresh primed copies itself
     assert Signature.of(["a'", "b"]).names == ("a'", "b")
+
+
+def test_script_names_follow_the_signature_rules():
+    script = parse_script("constants c c'\nassert c' <= c\n")
+    assert script.sig.names == ("c", "c'")
+    model, _ = run_script(script)
+    joined = join(model, new_model(Signature.of("c"), [Atom(1)]))
+    assert joined == model
+    # a repeated name fails in Signature, reported on its constants line
+    for text, line in (("constants a b a\n", 1), ("constants a\nconstants b a\n", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_script(text)
+        assert info.value.line == line
+        assert "repeated constant" in str(info.value)
 
 
 def test_sentence_separator_rejected_in_every_form():
