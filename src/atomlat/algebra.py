@@ -1,17 +1,16 @@
 """Structural constructions over atomized models.
 
-Everything here is atom images plus one crossing chain. The atom image
+Everything here is atom images plus one identify step. The atom image
 :func:`map_atoms` sends each source constant to a set of target constants,
 possibly empty, and applies that to every atom's upper segment. The identify
-step forces pairs of terms equal by full crossing in both directions,
-chained through the one crossing loop :func:`atomlat.crossing.cross_positives`
-without reduction. Restriction and renaming are atom images; a quotient
-identifies two terms; a join places two atom sets side by side and
-identifies the shared constants; the crossing route of a subalgebra joins
-the free model on the fresh names, identifies each with its generator and
-restricts. A product unites two atom images on the pair grid, and the
-embedding into a free model and the subdirect decomposition read the atoms
-off directly.
+step forces pairs of terms equal by :func:`atomlat.crossing.full_crossing`
+in both directions, without reduction. Restriction and renaming are atom
+images; a quotient identifies two terms; a join places two atom sets side by
+side and identifies the shared constants; the crossing route of a
+subalgebra joins the free model on the fresh names, identifies each with its
+generator and restricts. A product unites two atom images on the pair grid,
+and the embedding into a free model and the subdirect decomposition read the
+atoms off directly.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import (
     UnknownConstant,
     UnknownTargetConstant,
 )
-from .crossing import cross_positives, freest_model
+from .crossing import freest_model, full_crossing
 from .model import AtomColumns, Model, _require_in_sig, is_redundant, new_model, reduce, union_model
 
 
@@ -115,8 +114,9 @@ def _restrict_to_indices(model: Model, indices: list[int]) -> Model:
 
 def _identify(model: Model, pairs: Iterable[tuple[Term, Term]]) -> Model:
     """Force each pair of terms equal: cross ``s <= t``, then ``t <= s``, in order."""
-    duples = [d for s, t in pairs for d in (Duple(s, t), Duple(t, s))]
-    return cross_positives(model, duples, "never")
+    for s, t in pairs:
+        model = full_crossing(full_crossing(model, Duple(s, t)), Duple(t, s))
+    return model
 
 
 def quotient(model: Model, a: Term, b: Term) -> Model:

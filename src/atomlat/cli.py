@@ -173,6 +173,9 @@ def _cmd_check(args) -> int:
         print("error: check needs a script with sentences, not a model document", file=sys.stderr)
         return EXIT_ERROR
     script = parse_script(text)
+    if args.oracle and script.atoms():
+        print("error: --oracle applies to sentence-only scripts (no atom lines)", file=sys.stderr)
+        return EXIT_ERROR
     with _result_stream(args) as out:
         return _check_script(args, script, lambda line: out.write(line + "\n"))
 
@@ -183,12 +186,6 @@ def _check_script(args, script, report) -> int:
         status = "ENTAILED-POSITIVE" if entailed else "SATISFIABLE"
         report(f"deny {format_duple(script.sig, denial.duple)}: {status}")
     if args.oracle:
-        if script.atoms():
-            print(
-                "error: --oracle applies to sentence-only scripts (no atom lines)",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
         relation = closure_oracle(script.sig, script.positives(), args.cap)
         for denial, entailed in verdicts:
             if (denial.duple in relation) != entailed:

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Atom, Duple, Signature, Term, canonical_key, zero_atom
+from .core import Atom, Duple, Signature, Term, bit_indices, canonical_key, zero_atom
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 
 ENUM_CAP_DEFAULT = 10
@@ -158,48 +158,100 @@ def is_redundant(model: Model, phi: Atom) -> bool:
     return cover == phi.mask
 
 
-class AtomColumns:
-    """Atom masks over ``width`` constants in transposed form.
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """One bitset per constant: bit ``p`` of column ``i`` is bit ``i`` of ``masks[p]``."""
+    # Transpose through text: the binary digits of the masks, last position
+    # first, so that every width-th digit from the one for constant i spells
+    # column i with position 0 as its lowest bit.
+    spec = f"0{width}b"
+    digits = "".join([format(mask, spec) for mask in reversed(masks)])
+    return [int(digits[width - 1 - i :: width] or "0", 2) for i in range(width)]
 
-    ``columns[i]`` is the bitset of the positions of the atoms below constant
-    ``i``, one column per constant of the signature. For distinct masks the
-    atoms inside a mask are the positions that no column of a constant
-    outside the mask reaches, so a whole redundancy test is one pass of
-    bitwise operations over the constants instead of a loop over atom pairs.
+
+class AtomColumns:
+    """A live set of atom masks over ``width`` constants in transposed form.
+
+    Every atom has a position, and ``columns[i]`` is the bitset of the live
+    positions of the atoms below constant ``i``, one column per constant of
+    the signature. For distinct masks the atoms inside a mask are the live
+    positions that no column of a constant outside the mask reaches, so a
+    whole redundancy test is one pass of bitwise operations over the
+    constants instead of a loop over atom pairs.
+
+    The set can change in place: :meth:`drop` clears positions and
+    :meth:`extend` appends masks at new ones, so a chain of crossings keeps
+    one index (see :func:`atomlat.crossing.cross_positives`).
     """
 
     def __init__(self, masks: Sequence[int], width: int):
-        self.position = {mask: pos for pos, mask in enumerate(masks)}
-        self.everything = (1 << len(masks)) - 1
-        union = 0
-        for mask in masks:
-            union |= mask
-        self.union = union
-        # Transpose through text: the binary digits of the masks, last
-        # position first, so that every width-th digit from the one for
-        # constant i spells column i with position 0 as its lowest bit.
-        spec = f"0{width}b"
-        digits = "".join([format(mask, spec) for mask in reversed(masks)])
-        self.columns = [int(digits[width - 1 - i :: width] or "0", 2) for i in range(width)]
+        self.width = width
+        self._load(list(masks))
 
-    def narrower(self, mask: int) -> int:
-        """The bitset of the positions of the atoms strictly narrower than ``mask``."""
+    def _load(self, masks: list[int]):
+        self.masks = masks
+        self.position = {mask: pos for pos, mask in enumerate(masks)}
+        self.live = (1 << len(masks)) - 1
+        self.columns = _transpose(masks, self.width)
+
+    def meeting(self, term: int) -> int:
+        """The bitset of the live positions of the atoms below some constant of ``term``."""
         columns = self.columns
-        outside = 0
-        rest = self.union & ~mask
-        while rest:
-            low = rest & -rest
-            outside |= columns[low.bit_length() - 1]
-            rest ^= low
-        inside = self.everything & ~outside
-        pos = self.position.get(mask)
-        return inside if pos is None else inside & ~(1 << pos)
+        out = 0
+        while term:
+            low = term & -term
+            out |= columns[low.bit_length() - 1]
+            term ^= low
+        return out
+
+    def masks_at(self, positions: int) -> list[int]:
+        """The masks at the given positions, in position order."""
+        masks = self.masks
+        return [masks[pos] for pos in bit_indices(positions)]
+
+    def extend(self, masks: Sequence[int]):
+        """Append masks not in the set, at new positions, by one transposition."""
+        base = len(self.masks)
+        self.masks.extend(masks)
+        position = self.position
+        for pos, mask in enumerate(masks, base):
+            position[mask] = pos
+        self.live |= ((1 << len(masks)) - 1) << base
+        columns = self.columns
+        for i, column in enumerate(_transpose(masks, self.width)):
+            if column:
+                columns[i] |= column << base
+
+    def drop(self, positions: int):
+        """Remove the atoms at the given live positions.
+
+        The positions are renumbered once the dead ones outnumber the live
+        ones, so no position is kept across a call.
+        """
+        if not positions:
+            return
+        touched = 0
+        for mask in self.masks_at(positions):
+            del self.position[mask]
+            touched |= mask
+        self.live &= ~positions
+        columns = self.columns
+        for i in bit_indices(touched):
+            columns[i] &= ~positions
+        if len(self.masks) > 2 * self.live.bit_count():
+            self._load(self.masks_at(self.live))
 
     def redundant(self, mask: int) -> bool:
-        """:func:`is_redundant` for ``mask`` against the indexed atoms."""
-        if mask & ~self.union:
-            return False
-        below = self.narrower(mask)
+        """:func:`is_redundant` for ``mask`` against the live atoms.
+
+        A constant of ``mask`` that no live atom covers has an empty column,
+        so such a mask is never redundant.
+        """
+        # The live atoms strictly narrower than the mask: no column of a
+        # constant outside it reaches them, and the mask's own position is out.
+        below = self.live & ~self.meeting(((1 << self.width) - 1) & ~mask)
+        pos = self.position.get(mask)
+        if pos is not None:
+            below &= ~(1 << pos)
         columns = self.columns
         while mask:
             low = mask & -mask
@@ -217,8 +269,9 @@ def reduce(model: Model) -> Model:
     witnesses of a redundant atom are strictly narrower, and each of them is
     either non-redundant or, in turn, a union of strictly narrower atoms, so
     every redundant atom is a union of non-redundant ones and the kept atoms
-    still generate everything that is dropped. Two facts about crossing
-    follow, which :func:`atomlat.crossing.fused_crossing` uses:
+    still generate everything that is dropped. It also means that dropping a
+    redundant atom early changes no other atom's verdict. Three facts about
+    crossing follow, which :func:`atomlat.crossing.fused_crossing` uses:
 
     - crossing a reduced model leaves every atom it does not replace
       non-redundant: a witness ``h | b`` of such an atom can be traded for its
@@ -226,7 +279,12 @@ def reduce(model: Model) -> Model:
       model before crossing, so the atom would already have been redundant;
     - for atoms b1 ⊊ b2 below the right term, ``h | b2 = (h | b1) | b2``
       is redundant or a duplicate, so only the inclusion-minimal atoms below
-      the right term need to be unioned.
+      the right term need to be unioned;
+    - for a replaced atom ``h`` and minimal atoms b, b' below the right term
+      whose traces nest, ``b' & ~h ⊊ b & ~h``, the union ``h | b`` is
+      redundant: ``h | b'`` and the kept ``b`` are strictly narrower and
+      together cover it (``h ⊆ b`` would put b' strictly inside b). So only
+      the unions of inclusion-minimal traces need the redundancy test.
 
     The test runs on :class:`AtomColumns`, one bitset per constant over the
     atom positions; :func:`is_redundant` stays the single-atom definition.

@@ -205,8 +205,13 @@ def test_check_oracle_agreement(tmp_path, capsys):
 
 
 def test_check_oracle_rejects_atom_scripts(tmp_path, capsys):
-    script = write(tmp_path, "m.al", "constants a b\natom a b\n")
+    # rejected before the script runs: no shows and no verdicts on stdout
+    text = "constants a b\natom a\natom b\nshow theory\nassert a <= b\ndeny b <= a\n"
+    script = write(tmp_path, "m.al", text)
     assert main(["check", "--oracle", script]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--oracle applies to sentence-only scripts" in err
 
 
 def test_check_output_flag_writes_the_report(tmp_path, capsys):

@@ -1,17 +1,23 @@
 """Seeded differential tests of the fast paths against their references.
 
 - ``fused_crossing`` against ``reduce(full_crossing(m, r))`` on reduced models;
+- the unions it skips for a non-minimal trace against ``is_redundant`` on the
+  whole union grid;
+- the live ``AtomColumns`` of a chain against a fresh index of its atoms;
 - the column-bitset ``reduce`` against the pairwise ``is_redundant`` definition;
-- ``run_script``/``freest_model`` under ``after_each`` against a step-by-step
-  loop of ``full_crossing`` and ``reduce``, shows included.
+- ``cross_positives``, ``run_script`` and ``freest_model`` under
+  ``after_each`` against a step-by-step loop of ``full_crossing`` and
+  ``reduce``, every observed step and shows included.
 """
 
 import pytest
 
 from atomlat.core import Atom, Duple, Signature, Term
-from atomlat.crossing import freest_model, full_crossing, fused_crossing
+from atomlat.crossing import cross_positives, freest_model, full_crossing, fused_crossing
 from atomlat.errors import SignatureMismatch
-from atomlat.model import Model, discriminant, holds, is_redundant, new_model, reduce
+from atomlat.model import (
+    AtomColumns, Model, discriminant, holds, is_redundant, lower_atomic_segment, new_model, reduce,
+)
 from atomlat.script import Assertion, ShowDirective, parse_script, run_script
 
 from conftest import random_duple, random_term, seeded, valid
@@ -73,6 +79,121 @@ def test_fused_matches_reference_along_freest_builds():
             assert valid(full) and valid(fused)
             assert fused == expected
             m = expected
+
+
+def minimal_masks(masks):
+    return {m for m in masks if not any(o != m and o & ~m == 0 for o in masks)}
+
+
+def test_skipped_unions_of_non_minimal_traces_are_redundant():
+    rng = seeded(2029)
+    skipped = mismatches = 0
+    for _ in range(1500):
+        n = rng.randint(2, 12)
+        m = random_reduced_model(rng, n)
+        r = random_duple(rng, n)
+        full = full_crossing(m, r)
+        below = minimal_masks({atom.mask for atom in lower_atomic_segment(m, r.right)})
+        for h in (atom.mask for atom in discriminant(m, r.left, r.right)):
+            traces = minimal_masks({b & ~h for b in below})
+            for b in below:
+                if b & ~h not in traces:
+                    skipped += 1
+                    mismatches += not is_redundant(full, Atom(h | b))
+    assert mismatches == 0
+    assert skipped >= 500
+
+
+def test_live_columns_match_a_fresh_index():
+    rng = seeded(2030)
+    compacted = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        live = sorted(covered_masks(rng, n, rng.randint(1, 3 * n)))
+        index = AtomColumns(live, n)
+        for _ in range(rng.randint(1, 12)):
+            if live and rng.random() < 0.5:
+                gone = rng.sample(live, rng.randint(1, len(live)))
+                positions = 0
+                for mask in gone:
+                    positions |= 1 << index.position[mask]
+                slots = len(index.masks)
+                index.drop(positions)
+                compacted += len(index.masks) < slots
+                live = [mask for mask in live if mask not in gone]
+            else:
+                fresh = list(covered_masks(rng, n, rng.randint(1, n)) - set(live))
+                index.extend(fresh)
+                live += fresh
+            fresh_index = AtomColumns(live, n)
+            assert sorted(index.masks_at(index.live)) == sorted(live)
+            assert {m: index.masks[p] for m, p in index.position.items()} == {m: m for m in live}
+            for term in (random_term(rng, n).mask for _ in range(4)):
+                assert sorted(index.masks_at(index.meeting(term))) == sorted(
+                    fresh_index.masks_at(fresh_index.meeting(term))
+                )
+            probes = live + [random_term(rng, n, n).mask for _ in range(4)]
+            assert [index.redundant(x) for x in probes] == [
+                fresh_index.redundant(x) for x in probes
+            ]
+    assert compacted >= 100
+
+
+def random_chain(rng, n, steps):
+    """Random duples mixed with ones that hold at every step: a left term
+    inside the right one, or a repeat of an earlier duple."""
+    duples = []
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.15:
+            left = random_term(rng, n)
+            duples.append(Duple(left, left.join(random_term(rng, n))))
+        elif roll < 0.3 and duples:
+            duples.append(rng.choice(duples))
+        else:
+            duples.append(random_duple(rng, n))
+    return duples
+
+
+@pytest.mark.parametrize("start_kind", ["free", "reduced", "unreduced", "declared"])
+def test_chain_matches_step_by_step_reference_at_every_step(start_kind, monkeypatch):
+    compactions = 0
+    load = AtomColumns._load
+
+    def counting_load(index, masks):
+        nonlocal compactions
+        compactions += hasattr(index, "masks")
+        load(index, masks)
+
+    monkeypatch.setattr(AtomColumns, "_load", counting_load)
+    rng = seeded(2031 + len(start_kind))
+    held = mismatches = 0
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        sig = sig_of_size(n)
+        if start_kind == "free":
+            start = freest_model(sig)
+        elif start_kind == "reduced":
+            start = random_reduced_model(rng, n)
+        elif start_kind == "unreduced":
+            masks = covered_masks(rng, n, 2 * n)
+            masks.update(rng.choice(sorted(masks)) | rng.choice(sorted(masks)) for _ in range(n))
+            start = new_model(sig, map(Atom, masks))
+        else:
+            start = new_model(sig, random_script(rng, n, 0, declared=True).atoms())
+        duples = random_chain(rng, n, rng.randint(2 * n, 5 * n))
+        seen = []
+        out = cross_positives(start, duples, "after_each", on_step=lambda k, m: seen.append((k, m)))
+        expected = [(0, start)]
+        for k, r in enumerate(duples, start=1):
+            held += holds(expected[-1][1], r)
+            expected.append((k, reduce(full_crossing(expected[-1][1], r))))
+        mismatches += seen != expected
+        assert out == expected[-1][1] == cross_positives(start, duples)
+        assert all(valid(m) for _, m in seen)
+    assert mismatches == 0
+    assert held >= 500
+    assert compactions >= 100
 
 
 def test_fused_running_example():
