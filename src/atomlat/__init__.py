@@ -22,21 +22,17 @@ from .model import (
     ElementClass,
     Model,
     TheorySlice,
-    discriminant,
     enumerate_elements,
     enumerate_theory,
     holds,
     is_freer,
     is_redundant,
-    lower_atomic_segment,
     new_model,
     reduce,
     union_model,
 )
 from .crossing import (
     REDUCE_POLICIES,
-    ConsistencyReport,
-    check_consistency,
     freest_model,
     full_crossing,
 )
@@ -78,7 +74,6 @@ __all__ = [
     "Atom",
     "AxiomCheck",
     "AxiomReport",
-    "ConsistencyReport",
     "Decomposition",
     "Duple",
     "ENUM_CAP_DEFAULT",
@@ -92,10 +87,8 @@ __all__ = [
     "Term",
     "TheorySlice",
     "axiom_check",
-    "check_consistency",
     "closure_oracle",
     "congruence_oracle",
-    "discriminant",
     "embed_in_free",
     "enumerate_elements",
     "enumerate_theory",
@@ -106,7 +99,6 @@ __all__ = [
     "is_freer",
     "is_redundant",
     "join",
-    "lower_atomic_segment",
     "map_atoms",
     "model_from_json",
     "model_to_dict",

@@ -20,6 +20,7 @@ from .errors import (
     DuplicateConstant,
     EmptySignature,
     InvalidConstantName,
+    SignatureMismatch,
     UnknownConstant,
     ZeroAtomHasNoPinningTerm,
 )
@@ -192,8 +193,11 @@ def pinning(phi: Atom, sig: Signature) -> tuple[Term, tuple[Duple, ...]]:
     The pinning term sums the constants outside the atom's upper segment; the
     pinning duples say, for each constant c above the atom, that c lies below
     that term, and ``phi`` falsifies each of them. Undefined for the zero
-    atom, whose upper segment leaves no constants to sum.
+    atom, whose upper segment leaves no constants to sum, and for an atom
+    outside the signature.
     """
+    if phi.mask & ~sig.full_mask:
+        raise SignatureMismatch(f"atom {phi.indices()} uses constants outside the signature")
     rest = sig.full_mask & ~phi.mask
     if rest == 0:
         raise ZeroAtomHasNoPinningTerm(

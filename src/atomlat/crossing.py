@@ -3,8 +3,9 @@
 Crossing a positive duple replaces the atoms that falsify it (the
 discriminant) with their unions against every atom below the right-hand term.
 Iterating over a list of duples, starting from the singleton atoms, builds
-the freest model of those sentences; which is also how consistency of a mixed
-positive/negative sentence set is decided. On a reduced model,
+the freest model of those sentences. A negative sentence is consistent with
+them exactly when it fails in that model, which is how the deny verdicts of
+:func:`atomlat.script.run_script` are decided. On a reduced model,
 :func:`fused_crossing` yields the reduced result of one such step without
 building the whole union grid. :func:`cross_positives` is the one crossing
 loop of freest models and scripts; the identify step of
@@ -13,11 +14,10 @@ loop of freest models and scripts; the identify step of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import Atom, Duple, Signature, canonical_key
-from .model import AtomColumns, Model, _require_in_sig, holds, reduce
+from .model import AtomColumns, Model, _require_in_sig, reduce
 
 REDUCE_POLICIES = ("after_each", "never")
 
@@ -196,37 +196,3 @@ def freest_model(
     singletons = Model(sig, tuple(Atom(1 << i) for i in range(len(sig))))
     return cross_positives(singletons, positives, reduce_policy)
 
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Outcome of checking negative sentences against crossed positives."""
-
-    model: Model
-    satisfiable: tuple[Duple, ...]
-    entailed: tuple[Duple, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return not self.entailed
-
-
-def check_consistency(
-    sig: Signature,
-    positives: tuple[Duple, ...] | list[Duple],
-    negatives: tuple[Duple, ...] | list[Duple],
-) -> ConsistencyReport:
-    """Decide which negatives survive alongside the positives.
-
-    A negative duple is satisfiable together with the positives exactly when
-    it still fails in their freest model; if the positives force it, keeping
-    it negative is inconsistent.
-    """
-    model = freest_model(sig, tuple(positives))
-    satisfiable = []
-    entailed = []
-    for r in negatives:
-        if holds(model, r):
-            entailed.append(r)
-        else:
-            satisfiable.append(r)
-    return ConsistencyReport(model, tuple(satisfiable), tuple(entailed))

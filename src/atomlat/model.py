@@ -119,29 +119,30 @@ def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:
     return Model(sig, tuple(sorted(by_mask.values(), key=canonical_key)))
 
 
-def lower_atomic_segment(model: Model, t: Term) -> tuple[Atom, ...]:
-    """The atoms of the model below the term, in canonical order."""
-    return tuple(atom for atom in model.atoms if atom.mask & t.mask)
-
-
 def _require_in_sig(sig: Signature, mask: int):
     """Reject a duple whose terms, ``mask`` their union, leave the signature."""
     if mask & ~sig.full_mask:
         raise SignatureMismatch("duple uses constants outside the signature")
 
 
-def discriminant(model: Model, a: Term, b: Term) -> tuple[Atom, ...]:
-    """The atoms below ``a`` but not below ``b``; empty iff a <= b holds."""
-    _require_in_sig(model.sig, a.mask | b.mask)
-    return tuple(
-        atom for atom in model.atoms if atom.mask & a.mask and not atom.mask & b.mask
-    )
-
-
 def holds(model: Model, d: Duple) -> bool:
     """Whether the model entails the duple: no atom below its left term
-    misses its right term."""
-    return not discriminant(model, d.left, d.right)
+    misses its right term.
+
+    >>> from atomlat.crossing import full_crossing
+    >>> sig = Signature.of("a b")
+    >>> a_b, b_a = Duple(sig.term("a"), sig.term("b")), Duple(sig.term("b"), sig.term("a"))
+    >>> m = full_crossing(new_model(sig, [sig.atom("a"), sig.atom("b")]), a_b)
+    >>> holds(m, a_b), holds(m, b_a)
+    (True, False)
+    """
+    left, right = d.left.mask, d.right.mask
+    _require_in_sig(model.sig, left | right)
+    for atom in model.atoms:
+        mask = atom.mask
+        if mask & left and not mask & right:
+            return False
+    return True
 
 
 def is_redundant(model: Model, phi: Atom) -> bool:

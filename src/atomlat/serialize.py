@@ -64,8 +64,16 @@ def model_to_json(model: Model) -> str:
     return '{\n  "constants": [\n' + constants + '\n  ],\n  "atoms": ' + atoms + "\n}\n"
 
 
+def _loads(text: str):
+    """``json.loads``, with a document that nests too deeply as a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("document nests too deeply") from None
+
+
 def model_from_json(text: str) -> Model:
-    return model_from_dict(json.loads(text))
+    return model_from_dict(_loads(text))
 
 
 def rename_map_from_dict(doc) -> RenameMap:
@@ -79,7 +87,7 @@ def rename_map_from_dict(doc) -> RenameMap:
 
 
 def rename_map_from_json(text: str) -> RenameMap:
-    return rename_map_from_dict(json.loads(text))
+    return rename_map_from_dict(_loads(text))
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:

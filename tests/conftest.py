@@ -59,6 +59,18 @@ def random_model(rng, names, max_atoms=6, ensure_singleton=False):
     return Model(sig, tuple(atoms))
 
 
+# Reference definitions that ``holds``, the crossing engine and the segment
+# bitsets of ``enumerate_theory`` are tested against.
+def lower_atomic_segment(model, t):
+    """The atoms of the model below the term, in canonical order."""
+    return tuple(atom for atom in model.atoms if atom.mask & t.mask)
+
+
+def discriminant(model, a, b):
+    """The atoms below ``a`` but not below ``b``; empty iff a <= b holds."""
+    return tuple(atom for atom in model.atoms if atom.mask & a.mask and not atom.mask & b.mask)
+
+
 def valid(model):
     """Whether the atoms are what ``new_model`` would make of them: inside
     the signature, distinct, covering and in canonical order."""

@@ -303,6 +303,20 @@ def test_malformed_model_document_exits_two(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    nest = "[" * 3000 + "]" * 3000
+    m = write(tmp_path, "m.json", '{"constants": ' + nest + ', "atoms": []}')
+    script = write(tmp_path, "m.al", "constants a\n")
+    for argv in (
+        ["build", m],
+        ["query", m, "a <= a"],
+        ["rename", script, "--map", '{"map": ' + nest + ', "targets": []}'],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: document nests too deeply\n"
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["build", str(tmp_path / "absent.json")]) == 2
 

@@ -13,6 +13,7 @@ from atomlat.errors import (
     DuplicateConstant,
     EmptySignature,
     InvalidConstantName,
+    SignatureMismatch,
     UnknownConstant,
     ZeroAtomHasNoPinningTerm,
 )
@@ -126,6 +127,8 @@ def test_pinning_golden():
 def test_pinning_rejects_zero_atom():
     with pytest.raises(ZeroAtomHasNoPinningTerm):
         pinning(zero_atom(ABCDE), ABCDE)
+    with pytest.raises(SignatureMismatch):
+        pinning(Atom(0b100), Signature.of("a b"))
 
 
 @given(masks, masks)

@@ -15,12 +15,10 @@ import pytest
 from atomlat.core import Atom, Duple, Signature, Term
 from atomlat.crossing import cross_positives, freest_model, full_crossing, fused_crossing
 from atomlat.errors import SignatureMismatch
-from atomlat.model import (
-    AtomColumns, Model, discriminant, holds, is_redundant, lower_atomic_segment, new_model, reduce,
-)
+from atomlat.model import AtomColumns, Model, holds, is_redundant, new_model, reduce
 from atomlat.script import Assertion, ShowDirective, parse_script, run_script
 
-from conftest import random_duple, random_term, seeded, valid
+from conftest import discriminant, lower_atomic_segment, random_duple, random_term, seeded, valid
 
 
 def sig_of_size(n):

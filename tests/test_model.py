@@ -7,20 +7,18 @@ from atomlat.core import Atom, Duple, Signature, Term, pinning, zero_atom
 from atomlat.errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 from atomlat.model import (
     Model,
-    discriminant,
     enumerate_elements,
     enumerate_theory,
     holds,
     is_freer,
     is_redundant,
-    lower_atomic_segment,
     new_model,
     reduce,
     segment_signatures,
     union_model,
 )
 
-from conftest import mk, random_model, seeded
+from conftest import discriminant, lower_atomic_segment, mk, random_model, seeded
 
 ABCDE = Signature.of("a b c d e")
 
@@ -75,6 +73,13 @@ def test_new_model_keeps_the_callers_atoms():
     assert repaired.atoms == (Atom(0b111), Atom(0b100))
 
 
+def assert_holds_follows_segments(m, t):
+    """``holds(m, s <= t)`` exactly when the segment of s lies in that of t."""
+    seg = set(lower_atomic_segment(m, t))
+    for s in range(1, m.sig.full_mask + 1):
+        assert holds(m, Duple(Term(s), t)) == (set(lower_atomic_segment(m, Term(s))) <= seg)
+
+
 def test_segment_golden():
     seg = lower_atomic_segment(CROSS_SOURCE, ABCDE.term("a d"))
     assert {a.names(ABCDE) for a in seg} == {
@@ -83,33 +88,39 @@ def test_segment_golden():
         ("c", "d", "e"),
         ("d",),
     }
+    assert_holds_follows_segments(CROSS_SOURCE, ABCDE.term("a d"))
 
 
 def test_segment_of_full_term_is_everything():
     seg = lower_atomic_segment(CROSS_SOURCE, ABCDE.term("a b c d e"))
     assert set(seg) == set(CROSS_SOURCE.atoms)
+    assert_holds_follows_segments(CROSS_SOURCE, ABCDE.term("a b c d e"))
 
 
 def test_segment_small_hand_case():
     m = mk("a b c", "c", "a b c")
     seg = lower_atomic_segment(m, m.sig.term("b"))
     assert {a.names(m.sig) for a in seg} == {("a", "b", "c")}
+    assert_holds_follows_segments(m, m.sig.term("b"))
 
 
 def test_discriminant_golden():
     dis = discriminant(CROSS_SOURCE, ABCDE.term("b"), ABCDE.term("a d"))
     assert {a.names(ABCDE) for a in dis} == {("b", "e")}
+    assert not holds(CROSS_SOURCE, Duple(ABCDE.term("b"), ABCDE.term("a d")))
 
 
 def test_discriminant_reflexive_is_empty():
     t = ABCDE.term("b c")
     assert discriminant(CROSS_SOURCE, t, t) == ()
+    assert holds(CROSS_SOURCE, Duple(t, t))
 
 
 def test_discriminant_hand_case():
     m = mk("a b c", "a", "b", "c")
     dis = discriminant(m, m.sig.term("a b"), m.sig.term("c"))
     assert {a.names(m.sig) for a in dis} == {("a",), ("b",)}
+    assert not holds(m, Duple(m.sig.term("a b"), m.sig.term("c")))
 
 
 def test_holds_golden():
@@ -135,7 +146,7 @@ def test_holds_and_discriminant_reject_foreign_constants():
     with pytest.raises(SignatureMismatch):
         holds(m, foreign)
     with pytest.raises(SignatureMismatch):
-        discriminant(m, Term(0b01), Term(0b100))
+        holds(m, Duple(Term(0b01), Term(0b100)))
 
 
 def test_is_redundant_golden():
@@ -388,6 +399,18 @@ def test_segment_linearity_on_randoms():
                 split = set(lower_atomic_segment(m, Term(s)))
                 split |= set(lower_atomic_segment(m, Term(t)))
                 assert joined == split
+
+
+def test_holds_matches_theory_and_discriminant_on_randoms():
+    rng = seeded(19)
+    for n in range(1, 5):
+        for _ in range(30):
+            m = random_model(rng, " ".join(f"c{i}" for i in range(n)))
+            theory = enumerate_theory(m)
+            for s in range(1, m.sig.full_mask + 1):
+                for t in range(1, m.sig.full_mask + 1):
+                    d = Duple(Term(s), Term(t))
+                    assert holds(m, d) == (d in theory) == (not discriminant(m, d.left, d.right))
 
 
 def test_pinning_discriminates_only_nonredundant_atom():
