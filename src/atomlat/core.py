@@ -12,6 +12,7 @@ everything else works on masks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator
@@ -57,9 +58,10 @@ class Signature:
             raise EmptySignature("a signature needs at least one constant")
         for name in self.names:
             if not isinstance(name, str) or name.split() != [name] or "#" in name or name == "<=":
-                raise InvalidConstantName(f"bad constant name {name!r}")
+                raise InvalidConstantName(name)
         if len(set(self.names)) != len(self.names):
-            raise DuplicateConstant(f"repeated constant in {self.names}")
+            repeated = next(name for name, count in Counter(self.names).items() if count > 1)
+            raise DuplicateConstant(repeated)
 
     @classmethod
     def of(cls, names: str | Iterable[str]) -> "Signature":
@@ -111,7 +113,7 @@ class Signature:
                 mask |= bits[name]
             except (KeyError, TypeError):
                 if not isinstance(name, str):
-                    raise InvalidConstantName(f"bad constant name {name!r}") from None
+                    raise InvalidConstantName(name) from None
                 raise UnknownConstant(name) from None
         return mask
 

@@ -10,11 +10,20 @@ them exactly when it fails in that model, which is how the deny verdicts of
 building the whole union grid. :func:`cross_positives` is the one crossing
 loop of freest models and scripts; the identify step of
 :mod:`atomlat.algebra` folds :func:`full_crossing` over its duples.
+
+The reduced result of a chain does not depend on the order of its duples:
+it is the unique non-redundant atomization of the freest model, and the
+theory of that model is the same for every order. The order sets only the
+size of the models on the way, which is the whole cost, so an unobserved
+``after_each`` chain crosses its duples cheapest first. A ``never`` chain,
+whose redundant atoms depend on the order, and a chain with an observer
+keep the script order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Atom, Duple, Signature, canonical_key
 from .model import AtomColumns, Model, _require_in_sig, reduce
@@ -63,20 +72,19 @@ def _minimal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _fused_step(index: AtomColumns, sig: Signature, r: Duple) -> bool:
-    """Cross ``r`` into the reduced atom set of ``index``, in place.
-
-    Returns whether the set changed; a duple that already holds costs a few
-    column ORs. Only the unions ``h | b`` of the moved ``h`` with the
-    minimal ``b`` below the right term whose traces ``b & ~h`` are minimal
-    get the column test, against the survivors plus those unions.
-    """
-    left, right = r.left.mask, r.right.mask
-    _require_in_sig(sig, left | right)
+def _split(index: AtomColumns, left: int, right: int) -> tuple[int, int]:
+    """The positions of the atoms that ``left <= right`` moves, and of those below ``right``."""
     below = index.meeting(right)
-    moved = index.meeting(left) & ~below
-    if not moved:
-        return False
+    return index.meeting(left) & ~below, below
+
+
+def _replace(index: AtomColumns, moved: int, below: int):
+    """Replace the atoms at ``moved`` by their unions with the atoms at ``below``, in place.
+
+    Only the unions ``h | b`` of the moved ``h`` with the minimal ``b`` below
+    the right term whose traces ``b & ~h`` are minimal get the column test,
+    against the survivors plus those unions.
+    """
     minimal = _minimal(index.masks_at(below))
     unions = set()
     for h in index.masks_at(moved):
@@ -90,7 +98,6 @@ def _fused_step(index: AtomColumns, sig: Signature, r: Duple) -> bool:
         if index.redundant(u):
             redundant |= 1 << position[u]
     index.drop(redundant)
-    return True
 
 
 def _model_of(sig: Signature, index: AtomColumns) -> Model:
@@ -134,9 +141,13 @@ def fused_crossing(model: Model, r: Duple) -> Model:
     >>> [atom.label(sig) for atom in fused_crossing(m, r).atoms]
     ['a b c', 'a c d', 'b c']
     """
+    left, right = r.left.mask, r.right.mask
+    _require_in_sig(model.sig, left | right)
     index = AtomColumns([atom.mask for atom in model.atoms], len(model.sig))
-    if not _fused_step(index, model.sig, r):
+    moved, below = _split(index, left, right)
+    if not moved:
         return model
+    _replace(index, moved, below)
     return _model_of(model.sig, index)
 
 
@@ -146,40 +157,116 @@ def cross_positives(
     reduce_policy: str = "after_each",
     on_step: Callable[[int, Model], None] | None = None,
 ) -> Model:
-    """Cross the positive duples into ``model`` in order, under a reduce policy.
+    """Cross the positive duples into ``model`` under a reduce policy.
 
-    ``on_step(k, current)`` sees the model after the first ``k`` duples,
-    starting at ``k = 0`` with the start as given. Under ``after_each`` the
-    first step runs on the reference path ``reduce(full_crossing(...))``,
-    which reduces any start. Every later step is the step of
-    :func:`fused_crossing`, on one live :class:`~atomlat.model.AtomColumns`
-    index that the chain keeps from its second step to its last; the sorted
-    model is built only at the end, or at a step that ``on_step`` observes.
-    Under ``never`` every step is :func:`full_crossing` and redundant atoms
-    stay. With no duples the start is returned unchanged.
+    Every duple is checked against the signature before the first crossing.
+    Under ``after_each`` the first duple is crossed on the reference path
+    ``reduce(full_crossing(...))``, which reduces any start; the other
+    duples are then crossed cheapest first (see :func:`_schedule`) on one
+    live :class:`~atomlat.model.AtomColumns` index, and the sorted model is
+    built once, at the end. The order cannot change the result: crossing
+    adds the duples to the theory of the start, whatever their order, and a
+    semilattice has one non-redundant atomization. Two chains keep the
+    script order instead:
+
+    - under ``never`` every step is :func:`full_crossing` and redundant
+      atoms stay, so the atom set depends on the order;
+    - with an observer, ``on_step(k, current)`` sees the model after the
+      first ``k`` duples, starting at ``k = 0`` with the start as given;
+      each duple is then a run of its own in :func:`_cross_runs`, so the
+      chain still keeps one live index, and a sorted model is built at
+      every step that changes the atoms.
+
+    With no duples the start is returned unchanged.
+
+    >>> sig = Signature.of("a b c")
+    >>> a_b, b_c, c_a = (Duple(sig.term(x), sig.term(y)) for x, y in ("ab", "bc", "ca"))
+    >>> cross_positives(freest_model(sig), [a_b, b_c, c_a])
+    Model<a b c>[a b c]
+    >>> cross_positives(freest_model(sig), [c_a, b_c, a_b])
+    Model<a b c>[a b c]
+    """
+    positives = tuple(positives)
+    if on_step is None:
+        return next(_cross_runs(model, [positives], reduce_policy))
+    steps = _cross_runs(model, [(r,) for r in positives], reduce_policy)
+    on_step(0, model)
+    for k, model in enumerate(steps, start=1):
+        on_step(k, model)
+    return model
+
+
+def _cross_runs(
+    model: Model, runs: Iterable[Sequence[Duple]], reduce_policy: str
+) -> Iterator[Model]:
+    """Cross the runs of duples one after another; yield the model after each run.
+
+    The policy and every duple of every run are checked at the call, before
+    anything is crossed. Under ``after_each`` the first duple takes the
+    reference path ``reduce(full_crossing(...))``. Every later duple is
+    crossed on one live index that the chain keeps across the runs,
+    cheapest first within its run, and a sorted model is built only at the
+    end of a run that changed the atoms. Under ``never`` each run folds
+    :func:`full_crossing` in order.
     """
     if reduce_policy not in REDUCE_POLICIES:
         raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
-    eager = reduce_policy == "after_each"
+    runs = [tuple(run) for run in runs]
+    for run in runs:
+        for r in run:
+            _require_in_sig(model.sig, r.left.mask | r.right.mask)
+    return _chain(model, runs, reduce_policy == "after_each")
+
+
+def _chain(model: Model, runs: list[tuple[Duple, ...]], eager: bool) -> Iterator[Model]:
+    """The generator behind :func:`_cross_runs`."""
     sig = model.sig
     index = None
-    if on_step is not None:
-        on_step(0, model)
-    for k, r in enumerate(positives, start=1):
+    for run in runs:
         if not eager:
-            model = full_crossing(model, r)
-        elif k == 1:
-            model = reduce(full_crossing(model, r))
-        else:
+            for r in run:
+                model = full_crossing(model, r)
+        elif run:
             if index is None:
+                model = reduce(full_crossing(model, run[0]))
                 index = AtomColumns([atom.mask for atom in model.atoms], len(sig))
-            if _fused_step(index, sig, r):
-                model = None
-        if on_step is not None:
-            if model is None:
+                run = run[1:]
+            if _schedule(index, run):
                 model = _model_of(sig, index)
-            on_step(k, model)
-    return _model_of(sig, index) if model is None else model
+        yield model
+
+
+def _schedule(index: AtomColumns, positives: Sequence[Duple]) -> bool:
+    """Cross the duples into the reduced atom set of ``index``, cheapest first.
+
+    Returns whether the set changed. A duple costs the size of its union
+    grid, |moved| × |below|, two popcounts of column ORs. The duples wait in
+    a min-heap under the cost they had when last looked at, ties in the
+    given order; costs change as the atoms change, so a popped duple is
+    priced again and goes back if it is no longer the cheapest. A duple of
+    cost 0 holds and is dropped for good: crossing only adds sentences, so
+    a sentence that holds keeps holding.
+    """
+    heap = []
+    for seq, r in enumerate(positives):
+        left, right = r.left.mask, r.right.mask
+        moved, below = _split(index, left, right)
+        if moved:
+            heap.append((moved.bit_count() * below.bit_count(), seq, left, right))
+    heapify(heap)
+    changed = False
+    while heap:
+        _, seq, left, right = heappop(heap)
+        moved, below = _split(index, left, right)
+        if not moved:
+            continue
+        cost = moved.bit_count() * below.bit_count()
+        if heap and cost > heap[0][0]:
+            heappush(heap, (cost, seq, left, right))
+            continue
+        _replace(index, moved, below)
+        changed = True
+    return changed
 
 
 def freest_model(
@@ -187,11 +274,14 @@ def freest_model(
     positives: tuple[Duple, ...] | list[Duple] = (),
     reduce_policy: str = "after_each",
 ) -> Model:
-    """Cross the positive duples, in order, into the singleton-atom model.
+    """Cross the positive duples into the singleton-atom model.
 
     The result atomizes the freest model of the given sentences. The policy
     only controls when redundant atoms are dropped; the semilattice itself is
-    independent of it, and of the duple order.
+    independent of it, and of the duple order. Under ``after_each`` the
+    atoms are too, since the reduced atomization is unique, so the duples
+    after the first are crossed cheapest first (see :func:`cross_positives`);
+    under ``never`` they are crossed in the given order.
     """
     singletons = Model(sig, tuple(Atom(1 << i) for i in range(len(sig))))
     return cross_positives(singletons, positives, reduce_policy)

@@ -1,4 +1,10 @@
-"""Exceptions and warnings shared across the package."""
+"""Exceptions and warnings shared across the package.
+
+An error that names a constant shows it through :func:`reprlib.repr`, cut to
+a few dozen characters, since the name may be any value from a document.
+"""
+
+import reprlib
 
 
 class AtomlatError(Exception):
@@ -12,20 +18,31 @@ class EmptySignature(AtomlatError):
 class DuplicateConstant(AtomlatError):
     """A signature must not declare the same constant twice."""
 
+    def __init__(self, name: str):
+        super().__init__(f"repeated constant {reprlib.repr(name)}")
+        self.name = name
+
 
 class InvalidConstantName(AtomlatError):
     """Constant names are non-empty strings without whitespace or ``#``, and not ``<=``.
 
     ``#`` opens a comment in scripts and ``<=`` separates the two terms of a
     sentence. The rule is the same for scripts, JSON and library calls.
+
+    >>> InvalidConstantName(list(range(10**5)))
+    InvalidConstantName('bad constant name [0, 1, 2, 3, 4, 5, ...]')
     """
+
+    def __init__(self, name: object):
+        super().__init__(f"bad constant name {reprlib.repr(name)}")
+        self.name = name
 
 
 class UnknownConstant(AtomlatError):
     """A name was looked up that the signature does not declare."""
 
     def __init__(self, name: str):
-        super().__init__(f"constant {name!r} is not in the signature")
+        super().__init__(f"constant {reprlib.repr(name)} is not in the signature")
         self.name = name
 
 
@@ -74,7 +91,7 @@ class UndeclaredConstant(ParseError):
     """A script used a constant before declaring it."""
 
     def __init__(self, line: int, name: str):
-        super().__init__(line, f"undeclared constant {name!r}")
+        super().__init__(line, f"undeclared constant {reprlib.repr(name)}")
         self.name = name
 
 

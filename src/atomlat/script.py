@@ -5,7 +5,7 @@ and then sentences; juxtaposition of names is the idempotent sum::
 
     constants a b c d e
     atom b e              # starting atom (upper constant segment)
-    assert b <= a d       # positive sentence, crossed in script order
+    assert b <= a d       # positive sentence, added to the model
     deny c <= a           # negative sentence, checked on the final model
     show atoms            # print a section while running
 
@@ -35,7 +35,7 @@ from .errors import (
     UndeclaredConstant,
     UnknownConstant,
 )
-from .crossing import cross_positives, freest_model
+from .crossing import _cross_runs, freest_model
 from .model import (
     ENUM_CAP_DEFAULT,
     Model,
@@ -198,28 +198,30 @@ def run_script(
 
     Returns the final model and, per denial, whether the built model entails
     the denied sentence positively (an inconsistency). ``show`` directives
-    are evaluated only when ``emit`` is given. Crossing runs through
-    :func:`atomlat.crossing.cross_positives`; under ``after_each`` its first
-    step takes the reference path, which also reduces declared ``atom``
-    lines. A ``show`` before the first ``assert``, and a script without one,
-    see the declared atoms as given.
+    are evaluated only when ``emit`` is given. The ``assert`` lines are
+    crossed run by run, a run being the asserts between two shows, on the
+    one chain of :func:`atomlat.crossing.cross_positives`: under
+    ``after_each`` each run is crossed cheapest first, and a show sees the
+    same model as script order gives, since the reduced atomization is
+    unique; under ``never`` the runs fold in script order. The first
+    crossing takes the reference path, which also reduces declared ``atom``
+    lines; a ``show`` before the first ``assert``, and a script without
+    one, see the declared atoms as given.
     """
     declared = script.atoms()
     start = new_model(script.sig, declared) if declared else freest_model(script.sig)
-    shows: dict[int, list[str]] = {}
-    crossed = 0
+    runs: list[list[Duple]] = [[]]
+    sections: list[str] = []
     for statement in script.statements:
         if isinstance(statement, Assertion):
-            crossed += 1
-        elif isinstance(statement, ShowDirective):
-            shows.setdefault(crossed, []).append(statement.section)
-
-    def show(step: int, current: Model):
-        for section in shows.get(step, ()):
-            _show(current, section, emit, cap)
-
-    on_step = show if emit is not None and shows else None
-    model = cross_positives(start, script.positives(), reduce_policy, on_step=on_step)
+            runs[-1].append(statement.duple)
+        elif isinstance(statement, ShowDirective) and emit is not None:
+            sections.append(statement.section)
+            runs.append([])
+    models = _cross_runs(start, runs, reduce_policy)
+    for section in sections:
+        _show(next(models), section, emit, cap)
+    model = next(models)
     verdicts = tuple(
         (statement, holds(model, statement.duple))
         for statement in script.statements

@@ -317,6 +317,19 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
         assert err == "error: document nests too deeply\n"
 
 
+def test_bad_constant_is_reported_in_one_short_line(tmp_path, capsys):
+    for doc in (
+        {"constants": ["a", list(range(200000))], "atoms": [["a"]]},
+        {"constants": ["a", "a"], "atoms": [["a"]]},
+        {"constants": ["a"], "atoms": [["a", "x" * 200000]]},
+    ):
+        m = write(tmp_path, "m.json", json.dumps(doc))
+        assert main(["query", m, "a <= a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["build", str(tmp_path / "absent.json")]) == 2
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from atomlat.core import Duple, Signature
@@ -150,3 +152,19 @@ def test_check_consistency_transitivity_conflict():
 def test_check_consistency_containment_is_always_positive():
     sig = Signature.of("a b")
     assert holds(freest_model(sig, []), duple(sig, "a", "a b"))
+
+
+@pytest.mark.parametrize("seed", [1001, 1003])
+def test_scheduled_build_at_scale(seed):
+    # n=40, k=200 as in acceptance criterion 10; in script order seed 1003
+    # peaks at thousands of atoms and takes several seconds.
+    rng = seeded(seed)
+    sig = Signature.of(" ".join(f"c{i}" for i in range(40)))
+    duples = [random_duple(rng, 40) for _ in range(200)]
+    started = time.perf_counter()
+    m = freest_model(sig, duples)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"took {elapsed:.3f}s"
+    assert reduce(m) is m
+    assert all(holds(m, r) for r in duples)
+    assert freest_model(sig, rng.sample(duples, len(duples))) == m

@@ -7,11 +7,17 @@
 - the column-bitset ``reduce`` against the pairwise ``is_redundant`` definition;
 - ``cross_positives``, ``run_script`` and ``freest_model`` under
   ``after_each`` against a step-by-step loop of ``full_crossing`` and
-  ``reduce``, every observed step and shows included.
+  ``reduce``, every observed step and shows included, and ``run_script``
+  under ``never`` against the same loop without ``reduce``;
+- the scheduled chain against the script order, against ``reduce`` of a
+  ``never`` chain, and against itself on permutations of its duples.
 """
+
+import heapq
 
 import pytest
 
+from atomlat import crossing
 from atomlat.core import Atom, Duple, Signature, Term
 from atomlat.crossing import cross_positives, freest_model, full_crossing, fused_crossing
 from atomlat.errors import SignatureMismatch
@@ -153,7 +159,25 @@ def random_chain(rng, n, steps):
     return duples
 
 
-@pytest.mark.parametrize("start_kind", ["free", "reduced", "unreduced", "declared"])
+def random_start(rng, n, kind):
+    """A start over ``n`` constants: the free singletons, a random reduced
+    model, a random model padded with unions, or a script's declared atoms."""
+    sig = sig_of_size(n)
+    if kind == "free":
+        return freest_model(sig)
+    if kind == "reduced":
+        return random_reduced_model(rng, n)
+    if kind == "unreduced":
+        masks = covered_masks(rng, n, 2 * n)
+        masks.update(rng.choice(sorted(masks)) | rng.choice(sorted(masks)) for _ in range(n))
+        return new_model(sig, map(Atom, masks))
+    return new_model(sig, random_script(rng, n, 0, declared=True).atoms())
+
+
+START_KINDS = ["free", "reduced", "unreduced", "declared"]
+
+
+@pytest.mark.parametrize("start_kind", START_KINDS)
 def test_chain_matches_step_by_step_reference_at_every_step(start_kind, monkeypatch):
     compactions = 0
     load = AtomColumns._load
@@ -168,17 +192,7 @@ def test_chain_matches_step_by_step_reference_at_every_step(start_kind, monkeypa
     held = mismatches = 0
     for _ in range(60):
         n = rng.randint(2, 12)
-        sig = sig_of_size(n)
-        if start_kind == "free":
-            start = freest_model(sig)
-        elif start_kind == "reduced":
-            start = random_reduced_model(rng, n)
-        elif start_kind == "unreduced":
-            masks = covered_masks(rng, n, 2 * n)
-            masks.update(rng.choice(sorted(masks)) | rng.choice(sorted(masks)) for _ in range(n))
-            start = new_model(sig, map(Atom, masks))
-        else:
-            start = new_model(sig, random_script(rng, n, 0, declared=True).atoms())
+        start = random_start(rng, n, start_kind)
         duples = random_chain(rng, n, rng.randint(2 * n, 5 * n))
         seen = []
         out = cross_positives(start, duples, "after_each", on_step=lambda k, m: seen.append((k, m)))
@@ -192,6 +206,51 @@ def test_chain_matches_step_by_step_reference_at_every_step(start_kind, monkeypa
     assert mismatches == 0
     assert held >= 500
     assert compactions >= 100
+
+
+@pytest.mark.parametrize("start_kind", START_KINDS)
+def test_scheduled_chain_matches_script_order_and_permutations(start_kind, monkeypatch):
+    # The reduced freest model is the unique non-redundant atomization of the
+    # start's theory plus the duples, so neither the schedule nor the order
+    # of the duples can change it.
+    deferred = 0
+
+    def counting_push(heap, item):
+        nonlocal deferred
+        deferred += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(crossing, "heappush", counting_push)
+    rng = seeded(2041 + len(start_kind))
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        start = random_start(rng, n, start_kind)
+        duples = random_chain(rng, n, rng.randint(2 * n, 5 * n))
+        scheduled = cross_positives(start, duples)
+        assert valid(scheduled)
+        in_order = start
+        for r in duples:
+            in_order = reduce(full_crossing(in_order, r))
+        assert scheduled == in_order == reduce(cross_positives(start, duples, "never"))
+        for _ in range(3):
+            assert cross_positives(start, rng.sample(duples, len(duples))) == scheduled
+    assert deferred >= 100
+
+
+@pytest.mark.parametrize("policy", ["after_each", "never", "observed"])
+def test_chain_leaving_the_signature_fails_before_any_crossing(policy, monkeypatch):
+    seen = []
+    # every chain starts with full_crossing, so a crossing would fail on None
+    monkeypatch.setattr(crossing, "full_crossing", None)
+    sig = sig_of_size(3)
+    # the last duple names a fourth constant
+    duples = [Duple(Term(1 << i), Term(1 << (i + 1))) for i in range(3)]
+    with pytest.raises(SignatureMismatch):
+        if policy == "observed":
+            cross_positives(freest_model(sig), duples, on_step=lambda k, m: seen.append(k))
+        else:
+            cross_positives(freest_model(sig), duples, policy)
+    assert seen == []
 
 
 def test_fused_running_example():
@@ -237,8 +296,9 @@ def test_reduce_matches_pairwise_definition_on_random_unreduced_models():
         assert reduce(doubled) == reference_reduce(doubled)
 
 
-def reference_run(script):
-    """The plain after_each loop: full crossing then reduce on every assert."""
+def reference_run(script, reduce_policy="after_each"):
+    """The plain loop in script order: full crossing on every assert, then
+    reduce under ``after_each``."""
     lines = []
     declared = script.atoms()
     model = new_model(
@@ -246,7 +306,9 @@ def reference_run(script):
     )
     for statement in script.statements:
         if isinstance(statement, Assertion):
-            model = reduce(full_crossing(model, statement.duple))
+            model = full_crossing(model, statement.duple)
+            if reduce_policy == "after_each":
+                model = reduce(model)
         elif isinstance(statement, ShowDirective):
             lines += [f"atom {atom.label(script.sig)}" for atom in model.atoms]
     return model, lines
@@ -284,9 +346,10 @@ def test_run_script_matches_step_by_step_reference(declared):
         start = new_model(script.sig, script.atoms()) if declared else None
         if start is not None and reduce(start) != start:
             unreduced_starts += 1
-        lines = []
-        model, _ = run_script(script, emit=lines.append)
-        assert (model, lines) == reference_run(script)
+        for policy in ("after_each", "never"):
+            lines = []
+            model, _ = run_script(script, policy, emit=lines.append)
+            assert (model, lines) == reference_run(script, policy)
     assert unreduced_starts >= (100 if declared else 0)
 
 
