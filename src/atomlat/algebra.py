@@ -65,7 +65,10 @@ def map_atoms(model: Model, images: Sequence[int], target: Signature) -> Model:
     ``images[i]`` is the mask, over ``target``, of the image of constant i.
     Atoms whose image is empty vanish and equal images merge; a target
     constant left uncovered gets the usual zero-atom repair and its warning.
+    There must be one image per constant of ``model``.
     """
+    if len(images) != len(model.sig):
+        raise ValueError(f"map_atoms needs {len(model.sig)} images, got {len(images)}")
     atoms = []
     for atom in model.atoms:
         image = 0

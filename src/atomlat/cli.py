@@ -181,12 +181,13 @@ def _cmd_check(args) -> int:
 
 
 def _check_script(args, script, report) -> int:
+    if args.oracle:
+        relation = closure_oracle(script.sig, script.positives(), args.cap)
     _, verdicts = run_script(script, "after_each", emit=report, cap=args.cap)
     for denial, entailed in verdicts:
         status = "ENTAILED-POSITIVE" if entailed else "SATISFIABLE"
         report(f"deny {format_duple(script.sig, denial.duple)}: {status}")
     if args.oracle:
-        relation = closure_oracle(script.sig, script.positives(), args.cap)
         for denial, entailed in verdicts:
             if (denial.duple in relation) != entailed:
                 print(

@@ -7,23 +7,23 @@ the freest model of those sentences. A negative sentence is consistent with
 them exactly when it fails in that model, which is how the deny verdicts of
 :func:`atomlat.script.run_script` are decided. On a reduced model,
 :func:`fused_crossing` yields the reduced result of one such step without
-building the whole union grid. :func:`cross_positives` is the one crossing
-loop of freest models and scripts; the identify step of
-:mod:`atomlat.algebra` folds :func:`full_crossing` over its duples.
+building the whole union grid. :func:`cross_runs` is the one crossing
+loop: it crosses runs of duples on one chain, one run per ``show`` of a
+script, and :func:`cross_positives` is its one-run case. The identify step
+of :mod:`atomlat.algebra` folds :func:`full_crossing` over its duples.
 
 The reduced result of a chain does not depend on the order of its duples:
 it is the unique non-redundant atomization of the freest model, and the
 theory of that model is the same for every order. The order sets only the
-size of the models on the way, which is the whole cost, so an unobserved
+size of the models on the way, which is the whole cost, so an
 ``after_each`` chain crosses its duples cheapest first. A ``never`` chain,
-whose redundant atoms depend on the order, and a chain with an observer
-keep the script order.
+whose redundant atoms depend on the order, keeps the script order.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Atom, Duple, Signature, canonical_key
 from .model import AtomColumns, Model, _require_in_sig, reduce
@@ -108,8 +108,8 @@ def _model_of(sig: Signature, index: AtomColumns) -> Model:
 def fused_crossing(model: Model, r: Duple) -> Model:
     """``reduce(full_crossing(model, r))`` for a reduced ``model``, exactly.
 
-    It is one step of a :func:`cross_positives` chain on a fresh
-    :class:`~atomlat.model.AtomColumns` index. Three facts from the witness
+    It is the chain's own step, :func:`_schedule` of the one duple, on a
+    fresh :class:`~atomlat.model.AtomColumns` index. Three facts from the witness
     argument in :func:`atomlat.model.reduce` let it skip most of the union
     grid:
 
@@ -141,43 +141,25 @@ def fused_crossing(model: Model, r: Duple) -> Model:
     >>> [atom.label(sig) for atom in fused_crossing(m, r).atoms]
     ['a b c', 'a c d', 'b c']
     """
-    left, right = r.left.mask, r.right.mask
-    _require_in_sig(model.sig, left | right)
+    _require_in_sig(model.sig, r.left.mask | r.right.mask)
     index = AtomColumns([atom.mask for atom in model.atoms], len(model.sig))
-    moved, below = _split(index, left, right)
-    if not moved:
-        return model
-    _replace(index, moved, below)
-    return _model_of(model.sig, index)
+    return _model_of(model.sig, index) if _schedule(index, [r]) else model
 
 
 def cross_positives(
-    model: Model,
-    positives: Iterable[Duple],
-    reduce_policy: str = "after_each",
-    on_step: Callable[[int, Model], None] | None = None,
+    model: Model, positives: Iterable[Duple], reduce_policy: str = "after_each"
 ) -> Model:
     """Cross the positive duples into ``model`` under a reduce policy.
 
-    Every duple is checked against the signature before the first crossing.
-    Under ``after_each`` the first duple is crossed on the reference path
-    ``reduce(full_crossing(...))``, which reduces any start; the other
-    duples are then crossed cheapest first (see :func:`_schedule`) on one
-    live :class:`~atomlat.model.AtomColumns` index, and the sorted model is
-    built once, at the end. The order cannot change the result: crossing
-    adds the duples to the theory of the start, whatever their order, and a
-    semilattice has one non-redundant atomization. Two chains keep the
-    script order instead:
-
-    - under ``never`` every step is :func:`full_crossing` and redundant
-      atoms stay, so the atom set depends on the order;
-    - with an observer, ``on_step(k, current)`` sees the model after the
-      first ``k`` duples, starting at ``k = 0`` with the start as given;
-      each duple is then a run of its own in :func:`_cross_runs`, so the
-      chain still keeps one live index, and a sorted model is built at
-      every step that changes the atoms.
-
-    With no duples the start is returned unchanged.
+    This is one run of :func:`cross_runs`, the one crossing chain, so every
+    duple is checked against the signature before the first crossing. Under
+    ``after_each`` the duples after the first are crossed cheapest first;
+    the order cannot change the result, since crossing adds the duples to
+    the theory of the start, whatever their order, and a semilattice has
+    one non-redundant atomization. Under ``never`` every step is
+    :func:`full_crossing` and redundant atoms stay, so the atom set depends
+    on the order, and the duples are crossed in the given order. With no
+    duples the start is returned unchanged.
 
     >>> sig = Signature.of("a b c")
     >>> a_b, b_c, c_a = (Duple(sig.term(x), sig.term(y)) for x, y in ("ab", "bc", "ca"))
@@ -186,44 +168,33 @@ def cross_positives(
     >>> cross_positives(freest_model(sig), [c_a, b_c, a_b])
     Model<a b c>[a b c]
     """
-    positives = tuple(positives)
-    if on_step is None:
-        return next(_cross_runs(model, [positives], reduce_policy))
-    steps = _cross_runs(model, [(r,) for r in positives], reduce_policy)
-    on_step(0, model)
-    for k, model in enumerate(steps, start=1):
-        on_step(k, model)
-    return model
+    return next(cross_runs(model, [positives], reduce_policy))
 
 
-def _cross_runs(
-    model: Model, runs: Iterable[Sequence[Duple]], reduce_policy: str
+def cross_runs(
+    model: Model, runs: Iterable[Iterable[Duple]], reduce_policy: str = "after_each"
 ) -> Iterator[Model]:
     """Cross the runs of duples one after another; yield the model after each run.
 
-    The policy and every duple of every run are checked at the call, before
-    anything is crossed. Under ``after_each`` the first duple takes the
-    reference path ``reduce(full_crossing(...))``. Every later duple is
-    crossed on one live index that the chain keeps across the runs,
-    cheapest first within its run, and a sorted model is built only at the
-    end of a run that changed the atoms. Under ``never`` each run folds
-    :func:`full_crossing` in order.
+    The policy and every duple of every run are checked when the first
+    model is asked for, before anything is crossed. Under ``after_each``
+    the first duple takes the reference path ``reduce(full_crossing(...))``,
+    which reduces any start. Every later duple is crossed on one live
+    :class:`~atomlat.model.AtomColumns` index that the chain keeps across
+    the runs, cheapest first within its run (see :func:`_schedule`), and a
+    sorted model is built only at the end of a run that changed the atoms.
+    Under ``never`` each run folds :func:`full_crossing` in order.
     """
     if reduce_policy not in REDUCE_POLICIES:
         raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
+    sig = model.sig
     runs = [tuple(run) for run in runs]
     for run in runs:
         for r in run:
-            _require_in_sig(model.sig, r.left.mask | r.right.mask)
-    return _chain(model, runs, reduce_policy == "after_each")
-
-
-def _chain(model: Model, runs: list[tuple[Duple, ...]], eager: bool) -> Iterator[Model]:
-    """The generator behind :func:`_cross_runs`."""
-    sig = model.sig
+            _require_in_sig(sig, r.left.mask | r.right.mask)
     index = None
     for run in runs:
-        if not eager:
+        if reduce_policy == "never":
             for r in run:
                 model = full_crossing(model, r)
         elif run:

@@ -35,7 +35,7 @@ from .errors import (
     UndeclaredConstant,
     UnknownConstant,
 )
-from .crossing import _cross_runs, freest_model
+from .crossing import cross_runs, freest_model
 from .model import (
     ENUM_CAP_DEFAULT,
     Model,
@@ -200,13 +200,13 @@ def run_script(
     the denied sentence positively (an inconsistency). ``show`` directives
     are evaluated only when ``emit`` is given. The ``assert`` lines are
     crossed run by run, a run being the asserts between two shows, on the
-    one chain of :func:`atomlat.crossing.cross_positives`: under
-    ``after_each`` each run is crossed cheapest first, and a show sees the
-    same model as script order gives, since the reduced atomization is
-    unique; under ``never`` the runs fold in script order. The first
-    crossing takes the reference path, which also reduces declared ``atom``
-    lines; a ``show`` before the first ``assert``, and a script without
-    one, see the declared atoms as given.
+    one chain of :func:`atomlat.crossing.cross_runs`: under ``after_each``
+    each run is crossed cheapest first, and a show sees the same model as
+    script order gives, since the reduced atomization is unique; under
+    ``never`` the runs fold in script order. The first crossing takes the
+    reference path, which also reduces declared ``atom`` lines; a ``show``
+    before the first ``assert``, and a script without one, see the declared
+    atoms as given.
     """
     declared = script.atoms()
     start = new_model(script.sig, declared) if declared else freest_model(script.sig)
@@ -218,7 +218,7 @@ def run_script(
         elif isinstance(statement, ShowDirective) and emit is not None:
             sections.append(statement.section)
             runs.append([])
-    models = _cross_runs(start, runs, reduce_policy)
+    models = cross_runs(start, runs, reduce_policy)
     for section in sections:
         _show(next(models), section, emit, cap)
     model = next(models)

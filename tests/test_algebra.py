@@ -114,6 +114,13 @@ def test_map_atoms_drops_empty_images_and_merges_equal_ones():
     assert atom_names(out) == {("x",), ("y",)}
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_map_atoms_needs_one_image_per_constant(count):
+    m = freest_model(Signature.of("a b c"))
+    with pytest.raises(ValueError, match="needs 3 images, got"):
+        map_atoms(m, [0b11] * count, Signature.of("x y"))
+
+
 def test_rename_identity():
     m = mk("a b", "a", "a b")
     rmap = RenameMap.of({"a": ["a"], "b": ["b"]}, "a b")

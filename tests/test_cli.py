@@ -214,6 +214,15 @@ def test_check_oracle_rejects_atom_scripts(tmp_path, capsys):
     assert "--oracle applies to sentence-only scripts" in err
 
 
+def test_check_oracle_over_the_cap_fails_before_any_output(tmp_path, capsys):
+    text = "constants a b c\nassert a <= b\nshow atoms\ndeny b <= a\n"
+    script = write(tmp_path, "m.al", text)
+    assert main(["check", "--oracle", "--cap", "2", script]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 3 constants exceed the enumeration cap of 2\n"
+
+
 def test_check_output_flag_writes_the_report(tmp_path, capsys):
     text = "constants a b c\nshow atoms\nassert a <= b\ndeny b <= a\ndeny a <= a b\n"
     script = write(tmp_path, "m.al", text)

@@ -5,10 +5,10 @@
   whole union grid;
 - the live ``AtomColumns`` of a chain against a fresh index of its atoms;
 - the column-bitset ``reduce`` against the pairwise ``is_redundant`` definition;
-- ``cross_positives``, ``run_script`` and ``freest_model`` under
-  ``after_each`` against a step-by-step loop of ``full_crossing`` and
-  ``reduce``, every observed step and shows included, and ``run_script``
-  under ``never`` against the same loop without ``reduce``;
+- ``cross_positives``, ``cross_runs``, ``run_script`` and ``freest_model``
+  under ``after_each`` against a step-by-step loop of ``full_crossing`` and
+  ``reduce``, one-duple runs and shows included, and ``run_script`` under
+  ``never`` against the same loop without ``reduce``;
 - the scheduled chain against the script order, against ``reduce`` of a
   ``never`` chain, and against itself on permutations of its duples.
 """
@@ -19,7 +19,13 @@ import pytest
 
 from atomlat import crossing
 from atomlat.core import Atom, Duple, Signature, Term
-from atomlat.crossing import cross_positives, freest_model, full_crossing, fused_crossing
+from atomlat.crossing import (
+    cross_positives,
+    cross_runs,
+    freest_model,
+    full_crossing,
+    fused_crossing,
+)
 from atomlat.errors import SignatureMismatch
 from atomlat.model import AtomColumns, Model, holds, is_redundant, new_model, reduce
 from atomlat.script import Assertion, ShowDirective, parse_script, run_script
@@ -194,15 +200,14 @@ def test_chain_matches_step_by_step_reference_at_every_step(start_kind, monkeypa
         n = rng.randint(2, 12)
         start = random_start(rng, n, start_kind)
         duples = random_chain(rng, n, rng.randint(2 * n, 5 * n))
-        seen = []
-        out = cross_positives(start, duples, "after_each", on_step=lambda k, m: seen.append((k, m)))
-        expected = [(0, start)]
-        for k, r in enumerate(duples, start=1):
-            held += holds(expected[-1][1], r)
-            expected.append((k, reduce(full_crossing(expected[-1][1], r))))
+        seen = [start, *cross_runs(start, [(r,) for r in duples])]
+        expected = [start]
+        for r in duples:
+            held += holds(expected[-1], r)
+            expected.append(reduce(full_crossing(expected[-1], r)))
         mismatches += seen != expected
-        assert out == expected[-1][1] == cross_positives(start, duples)
-        assert all(valid(m) for _, m in seen)
+        assert seen[-1] == cross_positives(start, duples)
+        assert all(valid(m) for m in seen)
     assert mismatches == 0
     assert held >= 500
     assert compactions >= 100
@@ -237,7 +242,7 @@ def test_scheduled_chain_matches_script_order_and_permutations(start_kind, monke
     assert deferred >= 100
 
 
-@pytest.mark.parametrize("policy", ["after_each", "never", "observed"])
+@pytest.mark.parametrize("policy", ["after_each", "never", "runs"])
 def test_chain_leaving_the_signature_fails_before_any_crossing(policy, monkeypatch):
     seen = []
     # every chain starts with full_crossing, so a crossing would fail on None
@@ -246,8 +251,8 @@ def test_chain_leaving_the_signature_fails_before_any_crossing(policy, monkeypat
     # the last duple names a fourth constant
     duples = [Duple(Term(1 << i), Term(1 << (i + 1))) for i in range(3)]
     with pytest.raises(SignatureMismatch):
-        if policy == "observed":
-            cross_positives(freest_model(sig), duples, on_step=lambda k, m: seen.append(k))
+        if policy == "runs":
+            seen.extend(cross_runs(freest_model(sig), [(r,) for r in duples]))
         else:
             cross_positives(freest_model(sig), duples, policy)
     assert seen == []
