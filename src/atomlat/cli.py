@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .crossing import REDUCE_POLICIES
 from .errors import AtomlatError
-from .model import ENUM_CAP_DEFAULT, Model, holds, reduce
+from .model import ENUM_CAP_DEFAULT, Model, enumerate_theory, holds, reduce
 from .oracle import closure_oracle
 from .script import (
     format_duple,
@@ -183,7 +183,7 @@ def _cmd_check(args) -> int:
 def _check_script(args, script, report) -> int:
     if args.oracle:
         relation = closure_oracle(script.sig, script.positives(), args.cap)
-    _, verdicts = run_script(script, "after_each", emit=report, cap=args.cap)
+    model, verdicts = run_script(script, "after_each", emit=report, cap=args.cap)
     for denial, entailed in verdicts:
         status = "ENTAILED-POSITIVE" if entailed else "SATISFIABLE"
         report(f"deny {format_duple(script.sig, denial.duple)}: {status}")
@@ -195,6 +195,9 @@ def _check_script(args, script, report) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_ERROR
+        if enumerate_theory(model, args.cap) != relation:
+            print("error: oracle disagrees on the theory", file=sys.stderr)
+            return EXIT_ERROR
         report("oracle agrees")
     inconsistent = any(entailed for _, entailed in verdicts)
     report("inconsistent" if inconsistent else "consistent")

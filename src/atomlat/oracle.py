@@ -1,10 +1,10 @@
 """Independent verification oracles.
 
 Two oracles decide term entailment without touching atoms or crossing: one by
-deductive closure over all canonical terms, one by brute-force enumeration of
-semilattice congruences. They exist so the crossing engine can be checked
-against machinery that shares none of its code paths. A third entry point
-checks a model directly against the defining axioms.
+the implication closure of each term under the positives, one by brute-force
+enumeration of semilattice congruences. They exist so the crossing engine can
+be checked against machinery that shares none of its code paths. A third entry
+point checks a model directly against the defining axioms.
 """
 
 from __future__ import annotations
@@ -24,69 +24,40 @@ def closure_oracle(
 ) -> TheorySlice:
     """The least entailment relation on all terms over the signature.
 
-    Starts from the containment pairs (components of the left term inside the
-    right) plus the given positives, then iterates to a genuine fixed point
-    under transitivity and join-monotonicity (s <= t entails s+u <= t+u).
-    Monotonicity is applied one constant at a time; together with transitivity
-    that reaches the same fixed point as arbitrary-term monotonicity, since u
-    can be joined in constant by constant.
+    For each term t, C(t) is the least superset of t such that ``right ⊆ X``
+    implies ``left ⊆ X`` for every positive; then s <= t holds exactly when
+    s ⊆ C(t). Sound: each closure step is one monotonicity step and one
+    transitivity step, X + left <= X + right = X. Least: s ⊆ C(t) is a
+    preorder that holds the containment pairs and the positives, and it is
+    join-monotone, since C(t) + u ⊆ C(t + u).
 
     Returns the relation as a :class:`~atomlat.model.TheorySlice`, the type
     :func:`~atomlat.model.enumerate_theory` returns, with the given positives
     among its pairs.
     """
     _check_cap(sig, cap)
-    n = len(sig)
-    full = sig.full_mask
-    # rows[s] has bit t set when s <= t is derived; bit positions are term masks.
-    rows = [0] * (full + 1)
-    for s in range(1, full + 1):
-        t = s
-        while True:
-            rows[s] |= 1 << t
-            if t == full:
-                break
-            t = (t + 1) | s
-    fresh: list[tuple[int, int]] = []
+    rules = set()
     for d in positives:
         _require_in_sig(sig, d.left.mask | d.right.mask)
-        bit = 1 << d.right.mask
-        if not rows[d.left.mask] & bit:
-            rows[d.left.mask] |= bit
-            fresh.append((d.left.mask, d.right.mask))
-    # Only pairs beyond the containment seed can produce anything new:
-    # monotonicity maps containment pairs to containment pairs, which are all
-    # present from the start. Each new pair is expanded exactly once, and
-    # transitive closure over the full rows runs after every batch.
-    constant_bits = [1 << i for i in range(n)]
-    while fresh:
-        batch = fresh
-        fresh = []
-        for s, t in batch:
-            for c in constant_bits:
-                s2 = s | c
-                t2 = t | c
-                bit = 1 << t2
-                if not rows[s2] & bit:
-                    rows[s2] |= bit
-                    fresh.append((s2, t2))
-        stable = False
-        while not stable:
-            stable = True
-            for s in range(1, full + 1):
-                row = rows[s]
-                acc = row
-                rest = row
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    acc |= rows[low.bit_length() - 1]
-                new = acc & ~row
-                if new:
-                    rows[s] = acc
-                    stable = False
-                    for t in bit_indices(new):
-                        fresh.append((s, t))
+        rules.add((d.left.mask, d.right.mask))
+    full = sig.full_mask
+    # columns[i] has bit t set when constant i lies in C(t).
+    columns = [0] * len(sig)
+    for t in range(1, full + 1):
+        closed = t
+        grown = True
+        while grown:
+            grown = False
+            for left, right in rules:
+                if not right & ~closed and left & ~closed:
+                    closed |= left
+                    grown = True
+        for i in bit_indices(closed):
+            columns[i] |= 1 << t
+    rows = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        rows[s] = columns[low.bit_length() - 1] if s == low else rows[s ^ low] & rows[low]
     return TheorySlice(sig, tuple(rows))
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Atom, Duple, Signature, Term
+from .core import Atom, Duple, Signature, Term, canonical_key
 from .errors import (
     DuplicateConstant,
     InvalidConstantName,
@@ -182,10 +182,14 @@ def _show(model: Model, section: str, emit: Callable[[str], None], cap: int):
             members = ", ".join(t.label(model.sig) for t in cls.terms)
             emit(f"element {cls.representative.label(model.sig)} {{ {members} }}")
     else:
-        theory = enumerate_theory(model, cap)
-        labels = [""] + [Term(m).label(model.sig) for m in range(1, len(theory.rows))]
-        for duple in theory:
-            emit(f"{labels[duple.left.mask]} <= {labels[duple.right.mask]}")
+        rows = enumerate_theory(model, cap).rows
+        order = sorted((Term(m) for m in range(1, len(rows))), key=canonical_key)
+        labels = [(term.mask, term.label(model.sig)) for term in order]
+        for s, left in labels:
+            row = rows[s]
+            for t, right in labels:
+                if row >> t & 1:
+                    emit(f"{left} <= {right}")
 
 
 def run_script(

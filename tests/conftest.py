@@ -7,8 +7,8 @@ sometimes need an exact atom set that the repair pass would extend.
 
 import random
 
-from atomlat.core import Atom, Duple, Signature, Term, canonical_key
-from atomlat.model import Model
+from atomlat.core import Atom, Duple, Signature, Term, bit_indices, canonical_key
+from atomlat.model import Model, TheorySlice
 from atomlat.oracle import axiom_check
 
 
@@ -59,8 +59,8 @@ def random_model(rng, names, max_atoms=6, ensure_singleton=False):
     return Model(sig, tuple(atoms))
 
 
-# Reference definitions that ``holds``, the crossing engine and the segment
-# bitsets of ``enumerate_theory`` are tested against.
+# Reference definitions that ``holds``, the crossing engine, the segment
+# bitsets of ``enumerate_theory`` and ``closure_oracle`` are tested against.
 def lower_atomic_segment(model, t):
     """The atoms of the model below the term, in canonical order."""
     return tuple(atom for atom in model.atoms if atom.mask & t.mask)
@@ -69,6 +69,68 @@ def lower_atomic_segment(model, t):
 def discriminant(model, a, b):
     """The atoms below ``a`` but not below ``b``; empty iff a <= b holds."""
     return tuple(atom for atom in model.atoms if atom.mask & a.mask and not atom.mask & b.mask)
+
+
+def deductive_closure(sig, positives):
+    """The least relation on all terms that holds the containment pairs and
+    the positives and is closed under transitivity and join-monotonicity
+    (s <= t entails s+u <= t+u), iterated to a genuine fixed point.
+
+    Monotonicity is applied one constant at a time; together with
+    transitivity that reaches the same fixed point as arbitrary-term
+    monotonicity, since u can be joined in constant by constant.
+    """
+    n = len(sig)
+    full = sig.full_mask
+    # rows[s] has bit t set when s <= t is derived; bit positions are term masks.
+    rows = [0] * (full + 1)
+    for s in range(1, full + 1):
+        t = s
+        while True:
+            rows[s] |= 1 << t
+            if t == full:
+                break
+            t = (t + 1) | s
+    fresh: list[tuple[int, int]] = []
+    for d in positives:
+        bit = 1 << d.right.mask
+        if not rows[d.left.mask] & bit:
+            rows[d.left.mask] |= bit
+            fresh.append((d.left.mask, d.right.mask))
+    # Only pairs beyond the containment seed can produce anything new:
+    # monotonicity maps containment pairs to containment pairs, which are all
+    # present from the start. Each new pair is expanded exactly once, and
+    # transitive closure over the full rows runs after every batch.
+    constant_bits = [1 << i for i in range(n)]
+    while fresh:
+        batch = fresh
+        fresh = []
+        for s, t in batch:
+            for c in constant_bits:
+                s2 = s | c
+                t2 = t | c
+                bit = 1 << t2
+                if not rows[s2] & bit:
+                    rows[s2] |= bit
+                    fresh.append((s2, t2))
+        stable = False
+        while not stable:
+            stable = True
+            for s in range(1, full + 1):
+                row = rows[s]
+                acc = row
+                rest = row
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    acc |= rows[low.bit_length() - 1]
+                new = acc & ~row
+                if new:
+                    rows[s] = acc
+                    stable = False
+                    for t in bit_indices(new):
+                        fresh.append((s, t))
+    return TheorySlice(sig, tuple(rows))
 
 
 def valid(model):

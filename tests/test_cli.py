@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+import atomlat.cli
 from atomlat.cli import _build_parser, main
+from atomlat.oracle import closure_oracle
 
 CROSS_SCRIPT = """\
 constants a b c d e
@@ -202,6 +204,19 @@ def test_check_oracle_agreement(tmp_path, capsys):
     )
     assert main(["check", "--oracle", script]) == 1
     assert "oracle agrees" in capsys.readouterr().out
+
+
+def test_check_oracle_compares_the_whole_theory(tmp_path, capsys, monkeypatch):
+    # An oracle that drops a <= b still agrees on the one deny line, so
+    # only the theory comparison can catch it.
+    monkeypatch.setattr(
+        atomlat.cli, "closure_oracle", lambda sig, positives, cap: closure_oracle(sig, [])
+    )
+    script = write(tmp_path, "m.al", "constants a b\nassert a <= b\ndeny b <= a\n")
+    assert main(["check", "--oracle", script]) == 2
+    out, err = capsys.readouterr()
+    assert "oracle agrees" not in out
+    assert err == "error: oracle disagrees on the theory\n"
 
 
 def test_check_oracle_rejects_atom_scripts(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from atomlat.core import Atom, Duple, Signature, Term
 from atomlat.crossing import freest_model
-from atomlat.errors import CapExceeded
+from atomlat.errors import CapExceeded, SignatureMismatch
 from atomlat.model import Model, enumerate_theory, new_model
 from atomlat.oracle import (
     axiom_check,
@@ -10,7 +10,7 @@ from atomlat.oracle import (
     congruence_oracle,
 )
 
-from conftest import duple, mk, random_duple, seeded
+from conftest import deductive_closure, duple, mk, random_duple, random_term, seeded
 
 
 def containment_order(n):
@@ -83,6 +83,36 @@ def test_closure_fixed_point_under_its_own_rules():
                 assert (s | u, t | u) in pairs
 
 
+def test_closure_matches_the_deductive_closure():
+    # The implication closure against the transitive, join-monotone fixed
+    # point it replaced, with repeated positives and positives that
+    # containment already implies mixed in.
+    rng = seeded(36)
+    for _ in range(420):
+        n = rng.randint(1, 6)
+        sig = Signature.of(" ".join(f"c{i}" for i in range(n)))
+        duples = [random_duple(rng, n) for _ in range(rng.randint(0, 2 * n))]
+        if duples and rng.random() < 0.3:
+            duples.append(rng.choice(duples))
+        if rng.random() < 0.3:
+            left = random_term(rng, n)
+            implied = Duple(left, Term(left.mask | random_term(rng, n).mask))
+            duples.insert(rng.randint(0, len(duples)), implied)
+        assert closure_oracle(sig, duples) == deductive_closure(sig, duples)
+
+
+def test_closure_rejects_a_positive_outside_the_signature():
+    sig = Signature.of("a b")
+    with pytest.raises(SignatureMismatch):
+        closure_oracle(sig, [duple(sig, "a", "b"), Duple(Term(0b100), Term(0b1))])
+
+
+def test_closure_cap_comes_before_the_positives():
+    sig = Signature.of(" ".join(f"c{i}" for i in range(11)))
+    with pytest.raises(CapExceeded):
+        closure_oracle(sig, [Duple(Term(1 << 11), Term(1))])
+
+
 def test_closure_cap():
     sig = Signature.of(" ".join(f"c{i}" for i in range(11)))
     with pytest.raises(CapExceeded):
@@ -143,6 +173,12 @@ def test_oracle_matches_crossing_engine_near_the_cap():
         n = rng.randint(7, 8)
         sig = Signature.of(" ".join(f"c{i}" for i in range(n)))
         duples = [random_duple(rng, n) for _ in range(rng.randint(1, 12))]
+        assert enumerate_theory(freest_model(sig, duples)) == closure_oracle(sig, duples)
+    # at the default cap of ten constants
+    for _ in range(20):
+        n = rng.randint(9, 10)
+        sig = Signature.of(" ".join(f"c{i}" for i in range(n)))
+        duples = [random_duple(rng, n) for _ in range(rng.randint(1, 2 * n))]
         assert enumerate_theory(freest_model(sig, duples)) == closure_oracle(sig, duples)
 
 

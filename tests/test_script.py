@@ -16,10 +16,10 @@ from atomlat.script import (
     parse_term_text,
     run_script,
 )
-from atomlat.model import new_model
+from atomlat.model import enumerate_theory, new_model
 from atomlat.serialize import model_from_dict, model_from_json
 
-from conftest import seeded
+from conftest import random_model, seeded
 
 CROSS_SCRIPT = """\
 constants a b c d e
@@ -287,6 +287,23 @@ def test_show_theory_lines_in_canonical_order():
         "b c <= a b c", "b c <= b c",
         "c <= a b c", "c <= a c", "c <= b c", "c <= c",
     ]
+
+
+def test_show_theory_follows_the_theory_order_on_random_models():
+    rng = seeded(37)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = random_model(rng, " ".join(f"c{i}" for i in range(n)))
+        sig = m.sig
+        text = "".join(
+            [f"constants {' '.join(sig.names)}\n"]
+            + [f"atom {atom.label(sig)}\n" for atom in m.atoms]
+            + ["show theory\n"]
+        )
+        lines = []
+        run_script(parse_script(text), emit=lines.append)
+        expected = [f"{d.left.label(sig)} <= {d.right.label(sig)}" for d in enumerate_theory(m)]
+        assert lines == expected
 
 
 def test_show_atoms_output_is_reparseable():
