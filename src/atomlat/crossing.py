@@ -16,8 +16,10 @@ The reduced result of a chain does not depend on the order of its duples:
 it is the unique non-redundant atomization of the freest model, and the
 theory of that model is the same for every order. The order sets only the
 size of the models on the way, which is the whole cost, so an
-``after_each`` chain crosses its duples cheapest first. A ``never`` chain,
-whose redundant atoms depend on the order, keeps the script order.
+``after_each`` chain crosses its duples cheapest first: fewest atoms below
+the right term first, since that count is the growth factor of a step. A
+``never`` chain, whose redundant atoms depend on the order, keeps the
+script order.
 """
 
 from __future__ import annotations
@@ -210,20 +212,23 @@ def cross_runs(
 def _schedule(index: AtomColumns, positives: Sequence[Duple]) -> bool:
     """Cross the duples into the reduced atom set of ``index``, cheapest first.
 
-    Returns whether the set changed. A duple costs the size of its union
-    grid, |moved| × |below|, two popcounts of column ORs. The duples wait in
-    a min-heap under the cost they had when last looked at, ties in the
-    given order; costs change as the atoms change, so a popped duple is
-    priced again and goes back if it is no longer the cheapest. A duple of
-    cost 0 holds and is dropped for good: crossing only adds sentences, so
-    a sentence that holds keeps holding.
+    Returns whether the set changed. A duple is keyed by its growth,
+    (|below|, |moved|), two popcounts of column ORs. A step replaces each
+    moved atom ``h`` by its unions ``h | b`` with the atoms below the right
+    term, so |below| is the factor by which it can grow the set: a duple
+    with one atom below adds no atom, however many it moves. The duples
+    wait in a min-heap under the key they had when last looked at, ties in
+    the given order; keys change as the atoms change, so a popped duple is
+    keyed again and goes back if it is no longer the cheapest. A duple that
+    moves no atom holds and is dropped for good: crossing only adds
+    sentences, so a sentence that holds keeps holding.
     """
     heap = []
     for seq, r in enumerate(positives):
         left, right = r.left.mask, r.right.mask
         moved, below = _split(index, left, right)
         if moved:
-            heap.append((moved.bit_count() * below.bit_count(), seq, left, right))
+            heap.append(((below.bit_count(), moved.bit_count()), seq, left, right))
     heapify(heap)
     changed = False
     while heap:
@@ -231,9 +236,9 @@ def _schedule(index: AtomColumns, positives: Sequence[Duple]) -> bool:
         moved, below = _split(index, left, right)
         if not moved:
             continue
-        cost = moved.bit_count() * below.bit_count()
-        if heap and cost > heap[0][0]:
-            heappush(heap, (cost, seq, left, right))
+        key = below.bit_count(), moved.bit_count()
+        if heap and key > heap[0][0]:
+            heappush(heap, (key, seq, left, right))
             continue
         _replace(index, moved, below)
         changed = True

@@ -1,6 +1,7 @@
 """Seeded differential tests of the fast paths against their references.
 
-- ``fused_crossing`` against ``reduce(full_crossing(m, r))`` on reduced models;
+- ``fused_crossing`` against ``reduce(full_crossing(m, r))`` on reduced models,
+  and on the duples with one atom below the right term, which add no atom;
 - the unions it skips for a non-minimal trace against ``is_redundant`` on the
   whole union grid;
 - the live ``AtomColumns`` of a chain against a fresh index of its atoms;
@@ -89,6 +90,25 @@ def test_fused_matches_reference_along_freest_builds():
             assert valid(full) and valid(fused)
             assert fused == expected
             m = expected
+
+
+def test_one_atom_below_adds_no_atom():
+    # With one atom b below the right term, each moved h becomes h | b: the
+    # step can merge or drop atoms but never add one, which is why the
+    # schedule crosses such duples first.
+    rng = seeded(2032)
+    one_below = 0
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        m = random_reduced_model(rng, n)
+        r = random_duple(rng, n)
+        if len(lower_atomic_segment(m, r.right)) != 1 or holds(m, r):
+            continue
+        one_below += 1
+        fused = fused_crossing(m, r)
+        assert len(fused.atoms) <= len(m.atoms)
+        assert fused == reduce(full_crossing(m, r))
+    assert one_below >= 400
 
 
 def minimal_masks(masks):
