@@ -5,7 +5,7 @@ determine the order between terms. Full crossing enforces positive sentences
 one at a time and builds freest models; reduction finds the unique
 non-redundant atomization; restriction, rename, quotient, join, subalgebra,
 product, and subdirect decomposition are built on top. Independent oracles
-(deductive closure, congruence enumeration) verify the whole stack on small
+(implication closure, congruence enumeration) verify the whole stack on small
 signatures.
 """
 

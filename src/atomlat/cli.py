@@ -176,18 +176,18 @@ def _cmd_check(args) -> int:
     if args.oracle and script.atoms():
         print("error: --oracle applies to sentence-only scripts (no atom lines)", file=sys.stderr)
         return EXIT_ERROR
+    # the oracle checks the cap before -o truncates an existing file
+    relation = closure_oracle(script.sig, script.positives(), args.cap) if args.oracle else None
     with _result_stream(args) as out:
-        return _check_script(args, script, lambda line: out.write(line + "\n"))
+        return _check_script(args, script, relation, lambda line: out.write(line + "\n"))
 
 
-def _check_script(args, script, report) -> int:
-    if args.oracle:
-        relation = closure_oracle(script.sig, script.positives(), args.cap)
+def _check_script(args, script, relation, report) -> int:
     model, verdicts = run_script(script, "after_each", emit=report, cap=args.cap)
     for denial, entailed in verdicts:
         status = "ENTAILED-POSITIVE" if entailed else "SATISFIABLE"
         report(f"deny {format_duple(script.sig, denial.duple)}: {status}")
-    if args.oracle:
+    if relation is not None:
         for denial, entailed in verdicts:
             if (denial.duple in relation) != entailed:
                 print(

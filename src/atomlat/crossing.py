@@ -16,15 +16,14 @@ The reduced result of a chain does not depend on the order of its duples:
 it is the unique non-redundant atomization of the freest model, and the
 theory of that model is the same for every order. The order sets only the
 size of the models on the way, which is the whole cost, so an
-``after_each`` chain crosses its duples cheapest first: fewest atoms below
-the right term first, since that count is the growth factor of a step. A
-``never`` chain, whose redundant atoms depend on the order, keeps the
-script order.
+``after_each`` chain sorts each run once, before crossing it, by
+:func:`_growth`: fewest constants in the right term first, since the atoms
+below the right term set the growth factor of a step. A ``never`` chain,
+whose redundant atoms depend on the order, keeps the script order.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .core import Atom, Duple, Signature, canonical_key
@@ -155,8 +154,8 @@ def cross_positives(
 
     This is one run of :func:`cross_runs`, the one crossing chain, so every
     duple is checked against the signature before the first crossing. Under
-    ``after_each`` the duples after the first are crossed cheapest first;
-    the order cannot change the result, since crossing adds the duples to
+    ``after_each`` the duples are crossed in :func:`_growth` order; the
+    order cannot change the result, since crossing adds the duples to
     the theory of the start, whatever their order, and a semilattice has
     one non-redundant atomization. Under ``never`` every step is
     :func:`full_crossing` and redundant atoms stay, so the atom set depends
@@ -180,12 +179,14 @@ def cross_runs(
 
     The policy and every duple of every run are checked when the first
     model is asked for, before anything is crossed. Under ``after_each``
-    the first duple takes the reference path ``reduce(full_crossing(...))``,
-    which reduces any start. Every later duple is crossed on one live
+    each run is sorted once by :func:`_growth`, ties in the given order.
+    The chain's first duple in that order takes the reference path
+    ``reduce(full_crossing(...))``, which reduces any start. Every later
+    duple is crossed by :func:`_schedule` on one live
     :class:`~atomlat.model.AtomColumns` index that the chain keeps across
-    the runs, cheapest first within its run (see :func:`_schedule`), and a
-    sorted model is built only at the end of a run that changed the atoms.
-    Under ``never`` each run folds :func:`full_crossing` in order.
+    the runs, and a sorted model is built only at the end of a run that
+    changed the atoms. Under ``never`` each run folds :func:`full_crossing`
+    in the given order.
     """
     if reduce_policy not in REDUCE_POLICIES:
         raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
@@ -200,6 +201,7 @@ def cross_runs(
             for r in run:
                 model = full_crossing(model, r)
         elif run:
+            run = sorted(run, key=_growth)
             if index is None:
                 model = reduce(full_crossing(model, run[0]))
                 index = AtomColumns([atom.mask for atom in model.atoms], len(sig))
@@ -209,39 +211,32 @@ def cross_runs(
         yield model
 
 
-def _schedule(index: AtomColumns, positives: Sequence[Duple]) -> bool:
-    """Cross the duples into the reduced atom set of ``index``, cheapest first.
+def _growth(r: Duple) -> tuple[int, int]:
+    """The order key of a duple: its right term's constants, then its left term's outside it.
 
-    Returns whether the set changed. A duple is keyed by its growth,
-    (|below|, |moved|), two popcounts of column ORs. A step replaces each
-    moved atom ``h`` by its unions ``h | b`` with the atoms below the right
-    term, so |below| is the factor by which it can grow the set: a duple
-    with one atom below adds no atom, however many it moves. The duples
-    wait in a min-heap under the key they had when last looked at, ties in
-    the given order; keys change as the atoms change, so a popped duple is
-    keyed again and goes back if it is no longer the cheapest. A duple that
-    moves no atom holds and is dropped for good: crossing only adds
-    sentences, so a sentence that holds keeps holding.
+    A step replaces each moved atom ``h`` by its unions ``h | b`` with the
+    atoms below the right term, so their count is the factor by which the
+    step can grow the set: a duple with one atom below adds no atom, however
+    many it moves. On the free singletons the atoms below the right term are
+    its constants and the moved atoms those of the left term outside it, so
+    the key is (|below|, |moved|) of the first step, read off the duple.
     """
-    heap = []
-    for seq, r in enumerate(positives):
-        left, right = r.left.mask, r.right.mask
-        moved, below = _split(index, left, right)
-        if moved:
-            heap.append(((below.bit_count(), moved.bit_count()), seq, left, right))
-    heapify(heap)
+    right = r.right.mask
+    return right.bit_count(), (r.left.mask & ~right).bit_count()
+
+
+def _schedule(index: AtomColumns, positives: Sequence[Duple]) -> bool:
+    """Cross the duples into the reduced atom set of ``index``, in the given order.
+
+    Returns whether the set changed. A duple that moves no atom holds and is
+    skipped.
+    """
     changed = False
-    while heap:
-        _, seq, left, right = heappop(heap)
-        moved, below = _split(index, left, right)
-        if not moved:
-            continue
-        key = below.bit_count(), moved.bit_count()
-        if heap and key > heap[0][0]:
-            heappush(heap, (key, seq, left, right))
-            continue
-        _replace(index, moved, below)
-        changed = True
+    for r in positives:
+        moved, below = _split(index, r.left.mask, r.right.mask)
+        if moved:
+            _replace(index, moved, below)
+            changed = True
     return changed
 
 
@@ -256,8 +251,8 @@ def freest_model(
     only controls when redundant atoms are dropped; the semilattice itself is
     independent of it, and of the duple order. Under ``after_each`` the
     atoms are too, since the reduced atomization is unique, so the duples
-    after the first are crossed cheapest first (see :func:`cross_positives`);
-    under ``never`` they are crossed in the given order.
+    are crossed in :func:`_growth` order (see :func:`cross_runs`); under
+    ``never`` they are crossed in the given order.
     """
     singletons = Model(sig, tuple(Atom(1 << i) for i in range(len(sig))))
     return cross_positives(singletons, positives, reduce_policy)

@@ -181,7 +181,7 @@ class AtomColumns:
 
     The set can change in place: :meth:`drop` clears positions and
     :meth:`extend` appends masks at new ones, so a chain of crossings keeps
-    one index (see :func:`atomlat.crossing.cross_positives`).
+    one index (see :func:`atomlat.crossing.cross_runs`).
     """
 
     def __init__(self, masks: Sequence[int], width: int):

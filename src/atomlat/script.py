@@ -205,7 +205,8 @@ def run_script(
     are evaluated only when ``emit`` is given. The ``assert`` lines are
     crossed run by run, a run being the asserts between two shows, on the
     one chain of :func:`atomlat.crossing.cross_runs`: under ``after_each``
-    each run is crossed cheapest first, and a show sees the same model as
+    each run is sorted once by the growth key of
+    :func:`atomlat.crossing.cross_runs`, and a show sees the same model as
     script order gives, since the reduced atomization is unique; under
     ``never`` the runs fold in script order. The first crossing takes the
     reference path, which also reduces declared ``atom`` lines; a ``show``

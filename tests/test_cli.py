@@ -236,6 +236,11 @@ def test_check_oracle_over_the_cap_fails_before_any_output(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: 3 constants exceed the enumeration cap of 2\n"
+    target = tmp_path / "report.txt"
+    target.write_text("previous report\n")
+    assert main(["check", "--oracle", "--cap", "2", script, "-o", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == "previous report\n"
 
 
 def test_check_output_flag_writes_the_report(tmp_path, capsys):

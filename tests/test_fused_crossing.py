@@ -14,8 +14,6 @@
   ``never`` chain, and against itself on permutations of its duples.
 """
 
-import heapq
-
 import pytest
 
 from atomlat import crossing
@@ -234,23 +232,17 @@ def test_chain_matches_step_by_step_reference_at_every_step(start_kind, monkeypa
 
 
 @pytest.mark.parametrize("start_kind", START_KINDS)
-def test_scheduled_chain_matches_script_order_and_permutations(start_kind, monkeypatch):
+def test_scheduled_chain_matches_script_order_and_permutations(start_kind):
     # The reduced freest model is the unique non-redundant atomization of the
     # start's theory plus the duples, so neither the schedule nor the order
     # of the duples can change it.
-    deferred = 0
-
-    def counting_push(heap, item):
-        nonlocal deferred
-        deferred += 1
-        heapq.heappush(heap, item)
-
-    monkeypatch.setattr(crossing, "heappush", counting_push)
+    reordered = 0
     rng = seeded(2041 + len(start_kind))
     for _ in range(60):
         n = rng.randint(2, 12)
         start = random_start(rng, n, start_kind)
         duples = random_chain(rng, n, rng.randint(2 * n, 5 * n))
+        reordered += sorted(duples, key=crossing._growth) != duples
         scheduled = cross_positives(start, duples)
         assert valid(scheduled)
         in_order = start
@@ -259,7 +251,43 @@ def test_scheduled_chain_matches_script_order_and_permutations(start_kind, monke
         assert scheduled == in_order == reduce(cross_positives(start, duples, "never"))
         for _ in range(3):
             assert cross_positives(start, rng.sample(duples, len(duples))) == scheduled
-    assert deferred >= 100
+    assert reordered >= 55
+
+
+def test_sorted_chain_splits_each_later_duple_once(monkeypatch):
+    # Each run is sorted by the growth key before anything in it is crossed:
+    # the reference step crosses the key-first duple of the first run, and
+    # every later duple is split once, with no re-pricing.
+    splits = 0
+    split = crossing._split
+
+    def counting_split(index, left, right):
+        nonlocal splits
+        splits += 1
+        return split(index, left, right)
+
+    referenced = []
+    full = crossing.full_crossing
+
+    def recording_full(model, r):
+        referenced.append(r)
+        return full(model, r)
+
+    monkeypatch.setattr(crossing, "_split", counting_split)
+    monkeypatch.setattr(crossing, "full_crossing", recording_full)
+    rng = seeded(2047)
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        start = random_start(rng, n, rng.choice(START_KINDS))
+        duples = random_chain(rng, n, rng.randint(2 * n, 5 * n))
+        cuts = sorted(rng.sample(range(1, len(duples)), rng.randint(0, 3)))
+        runs = [duples[i:j] for i, j in zip([0, *cuts], [*cuts, len(duples)])]
+        splits = 0
+        referenced.clear()
+        models = list(cross_runs(start, runs))
+        assert referenced == [sorted(runs[0], key=crossing._growth)[0]]
+        assert splits == len(duples) - 1
+        assert models[-1] == cross_positives(start, duples)
 
 
 @pytest.mark.parametrize("policy", ["after_each", "never", "runs"])
