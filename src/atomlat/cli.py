@@ -26,9 +26,10 @@ from .algebra import (
 )
 from .crossing import REDUCE_POLICIES
 from .errors import AtomlatError
-from .model import ENUM_CAP_DEFAULT, Model, enumerate_theory, holds, reduce
+from .model import ENUM_CAP_DEFAULT, Model, _check_cap, enumerate_theory, holds, reduce
 from .oracle import closure_oracle
 from .script import (
+    ShowDirective,
     format_duple,
     parse_duple_text,
     parse_script,
@@ -176,7 +177,9 @@ def _cmd_check(args) -> int:
     if args.oracle and script.atoms():
         print("error: --oracle applies to sentence-only scripts (no atom lines)", file=sys.stderr)
         return EXIT_ERROR
-    # the oracle checks the cap before -o truncates an existing file
+    # the cap is checked before -o truncates an existing file
+    if any(isinstance(s, ShowDirective) and s.section != "atoms" for s in script.statements):
+        _check_cap(script.sig, args.cap)
     relation = closure_oracle(script.sig, script.positives(), args.cap) if args.oracle else None
     with _result_stream(args) as out:
         return _check_script(args, script, relation, lambda line: out.write(line + "\n"))

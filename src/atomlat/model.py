@@ -3,8 +3,9 @@
 A model is a deduplicated, canonically ordered set of atoms. The atoms fully
 determine the order between terms: t <= s holds exactly when every atom below
 t is also below s, where "atom below term" means the atom's upper constant
-segment meets the term's components. Everything in this module is a pure
-function of immutable values.
+segment meets the term's components. :func:`enumerate_theory` writes the order
+out as a :class:`TheorySlice`, and the element classes are a view of its rows.
+Everything in this module is a pure function of immutable values.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class TheorySlice:
     not stored. A duple tests with ``in``, ``len`` counts the positive pairs
     and iteration yields them in canonical order of the left term, then of
     the right term. The engine and the oracles all return this type, so they
-    agree exactly when their slices are equal.
+    agree exactly when their slices are equal, and :meth:`elements` too.
 
     >>> sig = Signature.of("a b")
     >>> th = enumerate_theory(new_model(sig, [sig.atom("a"), sig.atom("b")]))
@@ -86,6 +87,28 @@ class TheorySlice:
             for t in order:
                 if row >> t.mask & 1:
                     yield Duple(s, t)
+
+    @classmethod
+    def from_constant_rows(cls, sig: Signature, constant_rows: Sequence[int]) -> TheorySlice:
+        """The slice with constant i's row ``constant_rows[i]``: s <= t holds exactly when
+        every constant of s is below t, so each row is the AND of two earlier ones."""
+        rows = [0] * (sig.full_mask + 1)
+        for s in range(1, sig.full_mask + 1):
+            low = s & -s
+            rows[s] = constant_rows[low.bit_length() - 1] if s == low else rows[s ^ low] & rows[low]
+        return cls(sig, tuple(rows))
+
+    def elements(self) -> tuple[ElementClass, ...]:
+        """The element classes in canonical order: two terms name the same
+        element exactly when their rows are equal."""
+        groups: dict[int, list[int]] = {}
+        for t in range(1, len(self.rows)):
+            groups.setdefault(self.rows[t], []).append(t)
+        classes = (
+            ElementClass(Term(members[-1]), tuple(sorted(map(Term, members), key=canonical_key)))
+            for members in groups.values()
+        )
+        return tuple(sorted(classes, key=lambda c: canonical_key(c.representative)))
 
 
 def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:
@@ -349,47 +372,30 @@ def segment_signatures(model: Model) -> list[int]:
 
 
 def enumerate_elements(model: Model, cap: int = ENUM_CAP_DEFAULT) -> tuple[ElementClass, ...]:
-    """Group all terms over the signature by equal lower atomic segments."""
-    _check_cap(model.sig, cap)
-    segs = segment_signatures(model)
-    groups: dict[int, list[int]] = {}
-    for t in range(1, model.sig.full_mask + 1):
-        groups.setdefault(segs[t], []).append(t)
-    classes = []
-    for members in groups.values():
-        union = 0
-        for m in members:
-            union |= m
-        classes.append(
-            ElementClass(
-                representative=Term(union),
-                terms=tuple(sorted((Term(m) for m in members), key=canonical_key)),
-            )
-        )
-    classes.sort(key=lambda c: canonical_key(c.representative))
-    return tuple(classes)
+    """The element classes of the model: ``enumerate_theory(model, cap).elements()``."""
+    return enumerate_theory(model, cap).elements()
 
 
 def enumerate_theory(model: Model, cap: int = ENUM_CAP_DEFAULT) -> TheorySlice:
     """The order on every term over the signature, as a :class:`TheorySlice`.
 
-    A constant's row holds the terms whose segment contains the constant's;
-    by linearity s <= t holds exactly when every constant of s is below t,
-    so each other row is the intersection of two rows built before it.
+    Read off the atoms: an atom lies below the terms that contain one of its
+    constants, the union of a fixed bitset per constant, and a constant's row
+    is the intersection of those sets over the atoms below it. Those rows
+    extend to all terms by :meth:`TheorySlice.from_constant_rows`.
     """
     _check_cap(model.sig, cap)
-    full = model.sig.full_mask
-    segs = segment_signatures(model)
-    rows = [0] * (full + 1)
-    for i in range(len(model.sig)):
-        seg = segs[1 << i]
-        row = 0
-        for t in range(1, full + 1):
-            if not seg & ~segs[t]:
-                row |= 1 << t
-        rows[1 << i] = row
-    for s in range(1, full + 1):
-        low = s & -s
-        if s != low:
-            rows[s] = rows[s ^ low] & rows[low]
-    return TheorySlice(model.sig, tuple(rows))
+    n = len(model.sig)
+    every = (1 << (1 << n)) - 1
+    # containing[i]: the term masks with bit i, a run of 2**i in every 2**(i + 1)
+    containing = [every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                  for i in range(n)]
+    rows = [every ^ 1] * n
+    for atom in model.atoms:
+        constants = list(bit_indices(atom.mask))
+        meeting = 0
+        for i in constants:
+            meeting |= containing[i]
+        for i in constants:
+            rows[i] &= meeting
+    return TheorySlice.from_constant_rows(model.sig, rows)

@@ -33,17 +33,16 @@ def closure_oracle(
 
     Returns the relation as a :class:`~atomlat.model.TheorySlice`, the type
     :func:`~atomlat.model.enumerate_theory` returns, with the given positives
-    among its pairs.
+    among its pairs; constant i's row, the t with i in C(t), extends to all terms
+    by :meth:`~atomlat.model.TheorySlice.from_constant_rows` as the engine's do.
     """
     _check_cap(sig, cap)
     rules = set()
     for d in positives:
         _require_in_sig(sig, d.left.mask | d.right.mask)
         rules.add((d.left.mask, d.right.mask))
-    full = sig.full_mask
-    # columns[i] has bit t set when constant i lies in C(t).
     columns = [0] * len(sig)
-    for t in range(1, full + 1):
+    for t in range(1, sig.full_mask + 1):
         closed = t
         grown = True
         while grown:
@@ -54,11 +53,7 @@ def closure_oracle(
                     grown = True
         for i in bit_indices(closed):
             columns[i] |= 1 << t
-    rows = [0] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        rows[s] = columns[low.bit_length() - 1] if s == low else rows[s ^ low] & rows[low]
-    return TheorySlice(sig, tuple(rows))
+    return TheorySlice.from_constant_rows(sig, columns)
 
 
 def _set_partitions(count: int):

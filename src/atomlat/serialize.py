@@ -6,7 +6,7 @@ import json
 
 from .algebra import Decomposition, RenameMap
 from .core import Signature, Term, bit_indices
-from .model import ENUM_CAP_DEFAULT, Model, enumerate_elements, new_model, segment_signatures
+from .model import ENUM_CAP_DEFAULT, Model, enumerate_theory, new_model, segment_signatures
 
 
 def model_to_dict(model: Model) -> dict:
@@ -124,32 +124,26 @@ def model_to_dot(model: Model, cap: int = ENUM_CAP_DEFAULT) -> str:
     """The Hasse diagram of the element classes.
 
     Nodes are element classes labelled by their representative term; edges
-    are covering relations. Atoms appear as an ``atoms`` attribute listing
-    the lower atomic segment of each node, not as nodes of their own.
+    are covering relations, read off the rows of the model's theory. Atoms
+    appear as an ``atoms`` attribute listing the lower atomic segment of
+    each node, not as nodes of their own.
     """
-    classes = enumerate_elements(model, cap)
+    theory = enumerate_theory(model, cap)
+    classes = theory.elements()
+    position = {cls.representative.mask: x for x, cls in enumerate(classes)}
+    reps = sum(1 << rep for rep in position)
     segs = segment_signatures(model)
-    class_seg = [segs[cls.representative.mask] for cls in classes]
-    below = []
-    for x, seg_x in enumerate(class_seg):
-        row = 0
-        for y, seg_y in enumerate(class_seg):
-            if x != y and seg_x & ~seg_y == 0:
-                row |= 1 << y
-        below.append(row)
-    lines = ["digraph {"]
     labels = [_dot_escape(cls.representative.label(model.sig)) for cls in classes]
     atom_labels = ["{" + atom.label(model.sig) + "}" for atom in model.atoms]
-    for x, seg in enumerate(class_seg):
-        segment = ", ".join(atom_labels[k] for k in bit_indices(seg))
-        lines.append(f'  "{labels[x]}" [atoms="{_dot_escape(segment)}"];')
-    for x in range(len(classes)):
+    nodes, edges = [], []
+    for x, rep in enumerate(position):
+        segment = ", ".join(atom_labels[k] for k in bit_indices(segs[rep]))
+        nodes.append(f'  "{labels[x]}" [atoms="{_dot_escape(segment)}"];')
+        # the classes strictly above x, less those above another one of them
+        above = theory.rows[rep] & reps & ~(1 << rep)
         skip = 0
-        for z in bit_indices(below[x]):
-            skip |= below[z]
-        for y in bit_indices(below[x] & ~skip):
-            lines.append(f'  "{labels[x]}" -> "{labels[y]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
+        for z in bit_indices(above):
+            skip |= theory.rows[z] & ~(1 << z)
+        for y in sorted(position[t] for t in bit_indices(above & ~skip)):
+            edges.append(f'  "{labels[x]}" -> "{labels[y]}";')
+    return "\n".join(["digraph {", *nodes, *edges, "}"]) + "\n"

@@ -8,7 +8,7 @@ sometimes need an exact atom set that the repair pass would extend.
 import random
 
 from atomlat.core import Atom, Duple, Signature, Term, bit_indices, canonical_key
-from atomlat.model import Model, TheorySlice
+from atomlat.model import ElementClass, Model, TheorySlice
 from atomlat.oracle import axiom_check
 
 
@@ -59,11 +59,30 @@ def random_model(rng, names, max_atoms=6, ensure_singleton=False):
     return Model(sig, tuple(atoms))
 
 
-# Reference definitions that ``holds``, the crossing engine, the segment
-# bitsets of ``enumerate_theory`` and ``closure_oracle`` are tested against.
+# Reference definitions that ``holds``, the crossing engine, the element
+# classes, ``enumerate_theory`` and ``closure_oracle`` are tested against.
 def lower_atomic_segment(model, t):
     """The atoms of the model below the term, in canonical order."""
     return tuple(atom for atom in model.atoms if atom.mask & t.mask)
+
+
+def elements_by_segments(model):
+    """The element classes as the atoms define them: all terms grouped by
+    equal lower atomic segments, each class with its union as representative,
+    classes and their terms in canonical order."""
+    groups = {}
+    for t in range(1, model.sig.full_mask + 1):
+        segment = tuple(k for k, atom in enumerate(model.atoms) if atom.mask & t)
+        groups.setdefault(segment, []).append(t)
+    classes = []
+    for members in groups.values():
+        union = 0
+        for m in members:
+            union |= m
+        terms = tuple(sorted((Term(m) for m in members), key=canonical_key))
+        classes.append(ElementClass(Term(union), terms))
+    classes.sort(key=lambda c: canonical_key(c.representative))
+    return tuple(classes)
 
 
 def discriminant(model, a, b):

@@ -243,6 +243,26 @@ def test_check_oracle_over_the_cap_fails_before_any_output(tmp_path, capsys):
     assert target.read_text() == "previous report\n"
 
 
+@pytest.mark.parametrize("section", ["elements", "theory"])
+def test_check_over_the_cap_fails_before_any_output(tmp_path, capsys, section):
+    # an enumerating show checks the cap before the atoms show is written
+    text = f"constants a b c\nshow atoms\nshow {section}\nassert a <= b\n"
+    script = write(tmp_path, "m.al", text)
+    assert main(["check", "--cap", "2", script]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 3 constants exceed the enumeration cap of 2\n"
+    target = tmp_path / "report.txt"
+    target.write_text("previous report\n")
+    assert main(["check", "--cap", "2", script, "-o", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == "previous report\n"
+    # atoms are listed at any size, so a script without such a show runs
+    atoms_only = write(tmp_path, "a.al", "constants a b c\nshow atoms\nassert a <= b\n")
+    assert main(["check", "--cap", "2", atoms_only]) == 0
+    assert capsys.readouterr().out == "atom a\natom b\natom c\nconsistent\n"
+
+
 def test_check_output_flag_writes_the_report(tmp_path, capsys):
     text = "constants a b c\nshow atoms\nassert a <= b\ndeny b <= a\ndeny a <= a b\n"
     script = write(tmp_path, "m.al", text)
@@ -253,11 +273,6 @@ def test_check_output_flag_writes_the_report(tmp_path, capsys):
     assert main(["check", "--oracle", script, "-o", str(target)]) == 1
     assert capsys.readouterr() == ("", "")
     assert target.read_text() == report
-    # a step that fails after the report began keeps what came before it
-    wide = write(tmp_path, "w.al", "constants a b c\nshow atoms\nshow theory\n")
-    assert main(["check", "--cap", "2", wide, "-o", str(target)]) == 2
-    assert capsys.readouterr().out == ""
-    assert target.read_text() == "atom a\natom b\natom c\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,18 @@ from atomlat.model import (
     union_model,
 )
 
-from conftest import discriminant, lower_atomic_segment, mk, random_model, seeded
+from atomlat.crossing import freest_model
+from atomlat.script import format_duple, parse_script, run_script
+
+from conftest import (
+    discriminant,
+    elements_by_segments,
+    lower_atomic_segment,
+    mk,
+    random_duple,
+    random_model,
+    seeded,
+)
 
 ABCDE = Signature.of("a b c d e")
 
@@ -353,6 +364,43 @@ def test_enumerate_elements_chain():
         m.sig.term("b"),
         m.sig.term("a b"),
     }
+
+
+def element_lines(model):
+    sig = model.sig
+    return [
+        f"element {c.representative.label(sig)} {{ {', '.join(t.label(sig) for t in c.terms)} }}"
+        for c in elements_by_segments(model)
+    ]
+
+
+def test_elements_and_theory_match_the_segment_grouping():
+    # reduced and unreduced builds from free and declared starts, and
+    # hand-built models with repeated atoms or uncovered constants
+    rng = seeded(22)
+    for k in range(36):
+        n = rng.randint(1, 8)
+        sig = Signature(tuple(f"c{i}" for i in range(n)))
+        declared = random_model(rng, " ".join(sig.names)) if k % 3 == 0 else None
+        duples = [random_duple(rng, n) for _ in range(rng.randint(0, 2 * n))]
+        text = "".join(
+            [f"constants {' '.join(sig.names)}\n"]
+            + [f"atom {atom.label(sig)}\n" for atom in (declared.atoms if declared else ())]
+            + ["show elements\n"]
+            + [f"assert {format_duple(sig, d)}\n" for d in duples]
+            + ["show elements\n"]
+        )
+        lines = []
+        policy = ("after_each", "never")[k % 2]
+        model, _ = run_script(parse_script(text), policy, emit=lines.append)
+        start = declared or freest_model(sig)
+        assert lines == element_lines(start) + element_lines(model)
+        for m in (start, model, hand_built(rng, n, 10)):
+            assert enumerate_elements(m) == elements_by_segments(m)
+            rows = enumerate_theory(m).rows
+            terms = [Term(t) for t in range(1, sig.full_mask + 1)]
+            for s in terms:
+                assert rows[s.mask] == sum(1 << t.mask for t in terms if holds(m, Duple(s, t)))
 
 
 def test_enumerate_theory_free_pair_is_containment():

@@ -3,7 +3,7 @@ import pytest
 from atomlat.core import Atom, Duple, Signature, Term
 from atomlat.crossing import freest_model
 from atomlat.errors import CapExceeded, SignatureMismatch
-from atomlat.model import Model, enumerate_theory, new_model
+from atomlat.model import Model, enumerate_elements, enumerate_theory, new_model
 from atomlat.oracle import (
     axiom_check,
     closure_oracle,
@@ -173,13 +173,17 @@ def test_oracle_matches_crossing_engine_near_the_cap():
         n = rng.randint(7, 8)
         sig = Signature.of(" ".join(f"c{i}" for i in range(n)))
         duples = [random_duple(rng, n) for _ in range(rng.randint(1, 12))]
-        assert enumerate_theory(freest_model(sig, duples)) == closure_oracle(sig, duples)
+        model, oracle = freest_model(sig, duples), closure_oracle(sig, duples)
+        assert enumerate_theory(model) == oracle
+        assert oracle.elements() == enumerate_elements(model)
     # at the default cap of ten constants
     for _ in range(20):
         n = rng.randint(9, 10)
         sig = Signature.of(" ".join(f"c{i}" for i in range(n)))
         duples = [random_duple(rng, n) for _ in range(rng.randint(1, 2 * n))]
-        assert enumerate_theory(freest_model(sig, duples)) == closure_oracle(sig, duples)
+        model, oracle = freest_model(sig, duples), closure_oracle(sig, duples)
+        assert enumerate_theory(model) == oracle
+        assert oracle.elements() == enumerate_elements(model)
 
 
 def test_axiom_check_reports_the_checks_that_can_fail():

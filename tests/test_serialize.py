@@ -3,8 +3,10 @@ import json
 import pytest
 
 from atomlat.algebra import subdirect_decomposition, embed_in_free
-from atomlat.core import Signature
+from atomlat.core import Duple, Signature, Term, canonical_key
+from atomlat.crossing import freest_model
 from atomlat.errors import CapExceeded, InvalidConstantName, UnknownTargetConstant
+from atomlat.model import holds
 from atomlat.serialize import (
     decomposition_to_dict,
     embedding_to_dict,
@@ -16,7 +18,7 @@ from atomlat.serialize import (
     rename_map_from_json,
 )
 
-from conftest import mk, random_model, seeded
+from conftest import lower_atomic_segment, mk, random_duple, random_model, seeded
 
 
 def test_json_round_trip_on_randoms():
@@ -150,6 +152,43 @@ def test_dot_skips_transitive_edges():
     assert '"c" -> "b c";' in out
     assert '"b c" -> "a b c";' in out
     assert '"c" -> "a b c";' not in out
+
+
+def test_dot_is_the_hasse_diagram_of_holds():
+    # reference: classes of terms with equal up-sets under holds, their union
+    # as the node, and the covering pairs between the nodes as the edges
+    rng = seeded(24)
+    for k in range(60):
+        n = rng.randint(1, 6)
+        names = " ".join(f"c{i}" for i in range(n))
+        m = random_model(rng, names, max_atoms=8)
+        if k % 2:
+            m = freest_model(m.sig, [random_duple(rng, n) for _ in range(rng.randint(0, 2 * n))])
+        terms = [Term(t) for t in range(1, m.sig.full_mask + 1)]
+        up = {s: frozenset(t for t in terms if holds(m, Duple(s, t))) for s in terms}
+        groups = {}
+        for s in terms:
+            groups[up[s]] = groups.get(up[s], 0) | s.mask
+        nodes = sorted((Term(rep) for rep in groups.values()), key=canonical_key)
+        label = {node: node.label(m.sig) for node in nodes}
+        expected_nodes = [
+            f'  "{label[node]}" [atoms="'
+            + ", ".join("{" + atom.label(m.sig) + "}" for atom in lower_atomic_segment(m, node))
+            + '"];'
+            for node in nodes
+        ]
+        above = {x: {y for y in nodes if y != x and y in up[x]} for x in nodes}
+        expected_edges = {
+            f'  "{label[x]}" -> "{label[y]}";'
+            for x in nodes
+            for y in above[x]
+            if not any(y in above[z] for z in above[x])
+        }
+        lines = model_to_dot(m).splitlines()
+        edges = lines[1 + len(nodes) : -1]
+        assert lines[0] == "digraph {" and lines[-1] == "}"
+        assert lines[1 : 1 + len(nodes)] == expected_nodes
+        assert len(edges) == len(set(edges)) and set(edges) == expected_edges
 
 
 def test_dot_respects_cap():
