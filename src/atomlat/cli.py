@@ -182,14 +182,14 @@ def _cmd_check(args) -> int:
         _check_cap(script.sig, args.cap)
     relation = closure_oracle(script.sig, script.positives(), args.cap) if args.oracle else None
     with _result_stream(args) as out:
-        return _check_script(args, script, relation, lambda line: out.write(line + "\n"))
+        return _check_script(args, script, relation, out.write)
 
 
-def _check_script(args, script, relation, report) -> int:
-    model, verdicts = run_script(script, "after_each", emit=report, cap=args.cap)
+def _check_script(args, script, relation, write) -> int:
+    model, verdicts = run_script(script, "after_each", emit=write, cap=args.cap)
     for denial, entailed in verdicts:
         status = "ENTAILED-POSITIVE" if entailed else "SATISFIABLE"
-        report(f"deny {format_duple(script.sig, denial.duple)}: {status}")
+        write(f"deny {format_duple(script.sig, denial.duple)}: {status}\n")
     if relation is not None:
         for denial, entailed in verdicts:
             if (denial.duple in relation) != entailed:
@@ -201,9 +201,9 @@ def _check_script(args, script, relation, report) -> int:
         if enumerate_theory(model, args.cap) != relation:
             print("error: oracle disagrees on the theory", file=sys.stderr)
             return EXIT_ERROR
-        report("oracle agrees")
+        write("oracle agrees\n")
     inconsistent = any(entailed for _, entailed in verdicts)
-    report("inconsistent" if inconsistent else "consistent")
+    write("inconsistent\n" if inconsistent else "consistent\n")
     return EXIT_INCONSISTENT if inconsistent else EXIT_OK
 
 
@@ -214,6 +214,17 @@ def _cmd_export(args) -> int:
     else:
         _write_result(args, model_to_json(model))
     return EXIT_OK
+
+
+def _cap(text: str) -> int:
+    """A ``--cap`` value: an integer of at least 1, since no signature is smaller."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
 
 
 @functools.cache
@@ -236,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("file", help="model JSON document or script (- for stdin)")
         if cap:
-            p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT,
+            p.add_argument("--cap", type=_cap, default=ENUM_CAP_DEFAULT,
                            help="enumeration cap on the number of constants")
         p.set_defaults(handler=handler)
         return p

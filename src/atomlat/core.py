@@ -226,3 +226,25 @@ def canonical_key(value: Atom | Term) -> str:
     ['a', 'a b c', 'b', 'c']
     """
     return bin(value.mask)[:1:-1].translate(_KEY_DIGITS)
+
+
+def canonical_terms(sig: Signature) -> Iterator[tuple[int, str]]:
+    """Yield ``(mask, label)`` for every term over ``sig``, in canonical order.
+
+    The order is the preorder of the subset tree: for each constant i in
+    turn, the term {i}, then i joined to each term of constants above i.
+    The walk is built from the last constant back, each label from a
+    shorter one plus one name, with no :class:`Term`, key or sort.
+
+    >>> sig = Signature.of("a b c")
+    >>> list(canonical_terms(sig))
+    [(1, 'a'), (3, 'a b'), (7, 'a b c'), (5, 'a c'), (2, 'b'), (6, 'b c'), (4, 'c')]
+    >>> _ == [(t.mask, t.label(sig)) for t in sorted(map(Term, range(1, 8)), key=canonical_key)]
+    True
+    """
+    walk: list[tuple[int, str]] = []
+    for i in reversed(range(len(sig))):
+        # walk holds the terms over constants above i; those with i come first
+        bit, name = 1 << i, sig.names[i]
+        walk = [(bit, name), *[(bit | mask, name + " " + label) for mask, label in walk], *walk]
+    yield from walk

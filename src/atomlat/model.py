@@ -12,12 +12,28 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .core import Atom, Duple, Signature, Term, bit_indices, canonical_key, zero_atom
+from .core import (
+    Atom,
+    Duple,
+    Signature,
+    Term,
+    bit_indices,
+    canonical_key,
+    canonical_terms,
+    zero_atom,
+)
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 
 ENUM_CAP_DEFAULT = 10
+
+_V = TypeVar("_V")
+
+# the binary digits '0' and '1' as the bytes 0 and 1, selectors for compress
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -81,12 +97,34 @@ class TheorySlice:
         return sum(row.bit_count() for row in self.rows)
 
     def __iter__(self) -> Iterator[Duple]:
-        order = sorted((Term(m) for m in range(1, len(self.rows))), key=canonical_key)
-        for s in order:
-            row = self.rows[s.mask]
-            for t in order:
-                if row >> t.mask & 1:
-                    yield Duple(s, t)
+        terms = [Term(mask) for mask, _ in canonical_terms(self.sig)]
+        for s, above in self.rows_in_order(terms):
+            for t in above:
+                yield Duple(s, t)
+
+    def rows_in_order(self, values: Sequence[_V]) -> Iterator[tuple[_V, Iterator[_V]]]:
+        """Pair each term's entry of ``values`` with the entries of the terms above it.
+
+        ``values`` holds one entry per term in the order of
+        :func:`atomlat.core.canonical_terms`; the pairs and the entries of
+        each come in that order too.
+
+        >>> sig = Signature.of("a b")
+        >>> th = enumerate_theory(new_model(sig, [sig.atom("a"), sig.atom("b")]))
+        >>> labels = [label for _, label in canonical_terms(sig)]
+        >>> [(s, list(above)) for s, above in th.rows_in_order(labels)]
+        [('a', ['a', 'a b']), ('a b', ['a b']), ('b', ['a b', 'b'])]
+        """
+        masks = [mask for mask, _ in canonical_terms(self.sig)]
+        width = len(self.rows)
+        spec = f"0{width}b"
+        # A row's digits, bit t at index width - 1 - t, picked in canonical
+        # order and scanned at C speed; the trailing digit of bit 0 (no term)
+        # keeps the getter's result a tuple when there is one term.
+        pick = itemgetter(*[width - 1 - mask for mask in masks], width - 1)
+        for value, s in zip(values, masks):
+            digits = format(self.rows[s], spec).encode().translate(_DIGIT_BITS)
+            yield value, compress(values, pick(digits))
 
     @classmethod
     def from_constant_rows(cls, sig: Signature, constant_rows: Sequence[int]) -> TheorySlice:
@@ -101,14 +139,15 @@ class TheorySlice:
     def elements(self) -> tuple[ElementClass, ...]:
         """The element classes in canonical order: two terms name the same
         element exactly when their rows are equal."""
+        masks = [mask for mask, _ in canonical_terms(self.sig)]
         groups: dict[int, list[int]] = {}
-        for t in range(1, len(self.rows)):
+        for t in masks:
             groups.setdefault(self.rows[t], []).append(t)
-        classes = (
-            ElementClass(Term(members[-1]), tuple(sorted(map(Term, members), key=canonical_key)))
-            for members in groups.values()
+        # members gather in canonical order; a class's largest mask is its union
+        by_rep = {max(members): members for members in groups.values()}
+        return tuple(
+            ElementClass(Term(t), tuple(map(Term, by_rep[t]))) for t in masks if t in by_rep
         )
-        return tuple(sorted(classes, key=lambda c: canonical_key(c.representative)))
 
 
 def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Atom, Duple, Signature, Term, canonical_key
+from .core import Atom, Duple, Signature, Term, canonical_terms
 from .errors import (
     DuplicateConstant,
     InvalidConstantName,
@@ -173,45 +173,48 @@ def format_duple(sig: Signature, duple: Duple) -> str:
     return f"{duple.left.label(sig)} <= {duple.right.label(sig)}"
 
 
-def _show(model: Model, section: str, emit: Callable[[str], None], cap: int):
+def _show(model: Model, section: str, emit: Callable[[str], object], cap: int):
     if section == "atoms":
         for atom in model.atoms:
-            emit(f"atom {atom.label(model.sig)}")
+            emit(f"atom {atom.label(model.sig)}\n")
     elif section == "elements":
+        label = dict(canonical_terms(model.sig))
         for cls in enumerate_elements(model, cap):
-            members = ", ".join(t.label(model.sig) for t in cls.terms)
-            emit(f"element {cls.representative.label(model.sig)} {{ {members} }}")
+            members = ", ".join([label[t.mask] for t in cls.terms])
+            emit(f"element {label[cls.representative.mask]} {{ {members} }}\n")
     else:
-        rows = enumerate_theory(model, cap).rows
-        order = sorted((Term(m) for m in range(1, len(rows))), key=canonical_key)
-        labels = [(term.mask, term.label(model.sig)) for term in order]
-        for s, left in labels:
-            row = rows[s]
-            for t, right in labels:
-                if row >> t & 1:
-                    emit(f"{left} <= {right}")
+        labels = [label for _, label in canonical_terms(model.sig)]
+        # one write per left term; its row holds itself (s <= s), so it is never empty
+        for left, rights in enumerate_theory(model, cap).rows_in_order(labels):
+            prefix = left + " <= "
+            emit(prefix + ("\n" + prefix).join(rights) + "\n")
 
 
 def run_script(
     script: Script,
     reduce_policy: str = "after_each",
-    emit: Callable[[str], None] | None = None,
+    emit: Callable[[str], object] | None = None,
     cap: int = ENUM_CAP_DEFAULT,
 ) -> tuple[Model, tuple[tuple[Denial, bool], ...]]:
-    """Execute a script: build the model, emit shows, evaluate denials.
+    """Execute a script: build the model, write shows, evaluate denials.
 
     Returns the final model and, per denial, whether the built model entails
     the denied sentence positively (an inconsistency). ``show`` directives
-    are evaluated only when ``emit`` is given. The ``assert`` lines are
-    crossed run by run, a run being the asserts between two shows, on the
-    one chain of :func:`atomlat.crossing.cross_runs`: under ``after_each``
-    each run is sorted once by the growth key of
-    :func:`atomlat.crossing.cross_runs`, and a show sees the same model as
-    script order gives, since the reduced atomization is unique; under
-    ``never`` the runs fold in script order. The first crossing takes the
-    reference path, which also reduces declared ``atom`` lines; a ``show``
-    before the first ``assert``, and a script without one, see the declared
-    atoms as given.
+    are evaluated only when ``emit`` is given: a write callable in the
+    shape of ``TextIO.write``, such as ``sys.stdout.write`` or the
+    ``write`` of an ``io.StringIO``. Each call passes one or more whole
+    lines, each ending in ``"\\n"``; ``show theory`` makes one call per
+    left term.
+
+    The ``assert`` lines are crossed run by run, a run being the asserts
+    between two shows, on the one chain of
+    :func:`atomlat.crossing.cross_runs`: under ``after_each`` each run is
+    sorted once by the growth key of :func:`atomlat.crossing.cross_runs`,
+    and a show sees the same model as script order gives, since the reduced
+    atomization is unique; under ``never`` the runs fold in script order.
+    The first crossing takes the reference path, which also reduces
+    declared ``atom`` lines; a ``show`` before the first ``assert``, and a
+    script without one, see the declared atoms as given.
     """
     declared = script.atoms()
     start = new_model(script.sig, declared) if declared else freest_model(script.sig)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .algebra import Decomposition, RenameMap
-from .core import Signature, Term, bit_indices
+from .core import Signature, Term, bit_indices, canonical_terms
 from .model import ENUM_CAP_DEFAULT, Model, enumerate_theory, new_model, segment_signatures
 
 
@@ -133,7 +133,8 @@ def model_to_dot(model: Model, cap: int = ENUM_CAP_DEFAULT) -> str:
     position = {cls.representative.mask: x for x, cls in enumerate(classes)}
     reps = sum(1 << rep for rep in position)
     segs = segment_signatures(model)
-    labels = [_dot_escape(cls.representative.label(model.sig)) for cls in classes]
+    label = dict(canonical_terms(model.sig))
+    labels = [_dot_escape(label[rep]) for rep in position]
     atom_labels = ["{" + atom.label(model.sig) + "}" for atom in model.atoms]
     nodes, edges = [], []
     for x, rep in enumerate(position):

@@ -8,8 +8,15 @@ sometimes need an exact atom set that the repair pass would extend.
 import random
 
 from atomlat.core import Atom, Duple, Signature, Term, bit_indices, canonical_key
-from atomlat.model import ElementClass, Model, TheorySlice
+from atomlat.crossing import full_crossing
+from atomlat.model import ElementClass, Model, TheorySlice, holds, new_model, reduce
 from atomlat.oracle import axiom_check
+from atomlat.script import Assertion, Denial, ShowDirective, parse_script
+
+
+# constant names with non-ASCII characters, quotes and a backslash, which
+# labels, DOT escapes and reports carry through as text
+ODD_NAMES = ("a", "é", "x'", 'y"', "βγ", "日本", "z'\"", "ü2", "c", "\\q")
 
 
 def sig_of(names):
@@ -60,7 +67,8 @@ def random_model(rng, names, max_atoms=6, ensure_singleton=False):
 
 
 # Reference definitions that ``holds``, the crossing engine, the element
-# classes, ``enumerate_theory`` and ``closure_oracle`` are tested against.
+# classes, ``enumerate_theory``, ``closure_oracle`` and the ``check`` report
+# are tested against.
 def lower_atomic_segment(model, t):
     """The atoms of the model below the term, in canonical order."""
     return tuple(atom for atom in model.atoms if atom.mask & t.mask)
@@ -83,6 +91,46 @@ def elements_by_segments(model):
         classes.append(ElementClass(Term(union), terms))
     classes.sort(key=lambda c: canonical_key(c.representative))
     return tuple(classes)
+
+
+def check_report(text, oracle=False):
+    """The stdout of ``atomlat check [--oracle]`` on a script within the cap,
+    from the plain definitions: the reference crossing and ``reduce``
+    in script order, ``show theory`` as the pairs that ``holds`` with both
+    sides sorted by ``canonical_key``, terms labelled by ``Term.label``."""
+    script = parse_script(text)
+    sig = script.sig
+    model = new_model(sig, script.atoms() or (Atom(1 << i) for i in range(len(sig))))
+    terms = [(t, t.label(sig)) for t in sorted(map(Term, range(1, sig.full_mask + 1)),
+                                                key=canonical_key)]
+    lines = []
+    for statement in script.statements:
+        if isinstance(statement, Assertion):
+            model = reduce(full_crossing(model, statement.duple))
+        elif isinstance(statement, ShowDirective) and statement.section == "atoms":
+            lines += [f"atom {atom.label(sig)}" for atom in model.atoms]
+        elif isinstance(statement, ShowDirective) and statement.section == "elements":
+            lines += [
+                f"element {c.representative.label(sig)} "
+                f"{{ {', '.join(t.label(sig) for t in c.terms)} }}"
+                for c in elements_by_segments(model)
+            ]
+        elif isinstance(statement, ShowDirective):
+            lines += [
+                f"{left} <= {right}"
+                for s, left in terms for t, right in terms if holds(model, Duple(s, t))
+            ]
+    denials = [st.duple for st in script.statements if isinstance(st, Denial)]
+    entailed = [holds(model, d) for d in denials]
+    lines += [
+        f"deny {d.left.label(sig)} <= {d.right.label(sig)}: "
+        + ("ENTAILED-POSITIVE" if verdict else "SATISFIABLE")
+        for d, verdict in zip(denials, entailed)
+    ]
+    if oracle:
+        lines.append("oracle agrees")
+    lines.append("inconsistent" if any(entailed) else "consistent")
+    return "".join(line + "\n" for line in lines)
 
 
 def discriminant(model, a, b):

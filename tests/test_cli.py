@@ -5,7 +5,11 @@ import pytest
 
 import atomlat.cli
 from atomlat.cli import _build_parser, main
+from atomlat.core import Signature
 from atomlat.oracle import closure_oracle
+from atomlat.script import format_duple, parse_script, run_script
+
+from conftest import ODD_NAMES, check_report, random_duple, random_model, seeded
 
 CROSS_SCRIPT = """\
 constants a b c d e
@@ -263,6 +267,20 @@ def test_check_over_the_cap_fails_before_any_output(tmp_path, capsys, section):
     assert capsys.readouterr().out == "atom a\natom b\natom c\nconsistent\n"
 
 
+@pytest.mark.parametrize("command", [["check"], ["export", "--dot"]])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_is_a_usage_error(tmp_path, capsys, command, cap):
+    # no signature has fewer than one constant, so such a cap could only fail later
+    script = write(tmp_path, "m.al", "constants a b\nshow atoms\n")
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--cap", cap, script])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --cap: must be at least 1, got {cap}" in err
+    assert main(command + ["--cap", "2", script]) == 0
+
+
 def test_check_output_flag_writes_the_report(tmp_path, capsys):
     text = "constants a b c\nshow atoms\nassert a <= b\ndeny b <= a\ndeny a <= a b\n"
     script = write(tmp_path, "m.al", text)
@@ -273,6 +291,48 @@ def test_check_output_flag_writes_the_report(tmp_path, capsys):
     assert main(["check", "--oracle", script, "-o", str(target)]) == 1
     assert capsys.readouterr() == ("", "")
     assert target.read_text() == report
+
+
+def test_check_report_matches_the_reference(tmp_path, capsys):
+    # 1-9 constants, free and declared starts, every show kind between
+    # asserts and denies (theory up to 8 constants); --oracle on half of
+    # the free starts
+    rng = seeded(2210)
+    script, target = tmp_path / "m.al", tmp_path / "report.txt"
+    shows = 0
+    for k in range(60):
+        n = 1 + k % 9
+        names = ODD_NAMES[:n] if k % 2 else tuple(f"c{i}" for i in range(n))
+        declared = random_model(rng, " ".join(names)) if k % 3 == 0 else None
+        sig = Signature(names)
+        lines = [f"constants {' '.join(names)}"]
+        lines += [f"atom {atom.label(sig)}" for atom in (declared.atoms if declared else ())]
+        # the holds-based reference of a theory costs 4**n calls
+        sections = ["atoms", "elements", "theory"][: 3 if n < 9 else 2]
+        for _ in range(rng.randint(1, 2 * n + 2)):
+            kind = rng.choice(["assert", "assert", "deny", "show"])
+            if kind == "show":
+                lines.append("show " + rng.choice(sections))
+                shows += 1
+            else:
+                lines.append(f"{kind} {format_duple(sig, random_duple(rng, n))}")
+        text = "\n".join(lines) + "\n"
+        script.write_text(text, encoding="utf-8")
+        oracle = ["--oracle"] if declared is None and k % 4 < 2 else []
+        expected = check_report(text, bool(oracle))
+        code = 1 if expected.endswith("\ninconsistent\n") else 0
+        assert main(["check", *oracle, str(script)]) == code
+        assert capsys.readouterr() == (expected, "")
+        target.write_text("previous report\n")
+        assert main(["check", *oracle, str(script), "-o", str(target)]) == code
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes() == expected.encode()
+        # shows are written in whole lines
+        chunks = []
+        run_script(parse_script(text), emit=chunks.append)
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert expected.startswith("".join(chunks))
+    assert shows >= 60
 
 
 @pytest.mark.parametrize("argv", [

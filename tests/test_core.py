@@ -6,6 +6,7 @@ from atomlat.core import (
     Signature,
     Term,
     canonical_key,
+    canonical_terms,
     pinning,
     zero_atom,
 )
@@ -17,6 +18,8 @@ from atomlat.errors import (
     UnknownConstant,
     ZeroAtomHasNoPinningTerm,
 )
+
+from conftest import ODD_NAMES
 
 ABCDE = Signature.of("a b c d e")
 
@@ -113,6 +116,15 @@ def test_canonical_key_orders_lexicographically():
         ("b",),
         ("c",),
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_terms_walk_is_the_sorted_canonical_order(n):
+    sig = Signature(ODD_NAMES[:n])
+    expected = sorted(map(Term, range(1, 2**n)), key=canonical_key)
+    walk = list(canonical_terms(sig))
+    assert [mask for mask, _ in walk] == [t.mask for t in expected]
+    assert [label for _, label in walk] == [t.label(sig) for t in expected]
 
 
 def test_pinning_golden():

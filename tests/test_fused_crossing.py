@@ -14,6 +14,8 @@
   ``never`` chain, and against itself on permutations of its duples.
 """
 
+import io
+
 import pytest
 
 from atomlat import crossing
@@ -400,9 +402,9 @@ def test_run_script_matches_step_by_step_reference(declared):
         if start is not None and reduce(start) != start:
             unreduced_starts += 1
         for policy in ("after_each", "never"):
-            lines = []
-            model, _ = run_script(script, policy, emit=lines.append)
-            assert (model, lines) == reference_run(script, policy)
+            out = io.StringIO()
+            model, _ = run_script(script, policy, emit=out.write)
+            assert (model, out.getvalue().splitlines()) == reference_run(script, policy)
     assert unreduced_starts >= (100 if declared else 0)
 
 
@@ -410,8 +412,9 @@ def test_unreduced_start_is_kept_until_the_first_assert():
     script = parse_script(
         "constants a b c\natom a\natom b\natom a b\natom c\nshow atoms\n"
     )
-    lines = []
-    model, _ = run_script(script, emit=lines.append)
+    out = io.StringIO()
+    model, _ = run_script(script, emit=out.write)
+    lines = out.getvalue().splitlines()
     assert lines == ["atom a", "atom a b", "atom b", "atom c"]
     assert [a.label(script.sig) for a in model.atoms] == ["a", "a b", "b", "c"]
     assert (model, lines) == reference_run(script)

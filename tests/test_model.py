@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -390,11 +391,11 @@ def test_elements_and_theory_match_the_segment_grouping():
             + [f"assert {format_duple(sig, d)}\n" for d in duples]
             + ["show elements\n"]
         )
-        lines = []
+        out = io.StringIO()
         policy = ("after_each", "never")[k % 2]
-        model, _ = run_script(parse_script(text), policy, emit=lines.append)
+        model, _ = run_script(parse_script(text), policy, emit=out.write)
         start = declared or freest_model(sig)
-        assert lines == element_lines(start) + element_lines(model)
+        assert out.getvalue().splitlines() == element_lines(start) + element_lines(model)
         for m in (start, model, hand_built(rng, n, 10)):
             assert enumerate_elements(m) == elements_by_segments(m)
             rows = enumerate_theory(m).rows

@@ -1,4 +1,5 @@
 import doctest
+import io
 
 import pytest
 
@@ -262,11 +263,12 @@ def test_run_script_denials_report_entailment():
 
 
 def test_run_script_show_emits_positionally():
-    lines = []
+    out = io.StringIO()
     script = parse_script(
         "constants a b\nshow atoms\nassert a <= b\nshow atoms\n"
     )
-    run_script(script, emit=lines.append)
+    run_script(script, emit=out.write)
+    lines = out.getvalue().splitlines()
     # before the assertion the free singleton for a is present; afterwards
     # it has been crossed away into the pair atom
     assert "atom a" in lines
@@ -275,10 +277,10 @@ def test_run_script_show_emits_positionally():
 
 
 def test_show_theory_lines_in_canonical_order():
-    lines = []
+    out = io.StringIO()
     run_script(parse_script("constants a b c\nassert a <= b\nshow theory\n"),
-               emit=lines.append)
-    assert lines == [
+               emit=out.write)
+    assert out.getvalue().splitlines() == [
         "a <= a", "a <= a b", "a <= a b c", "a <= a c", "a <= b", "a <= b c",
         "a b <= a b", "a b <= a b c", "a b <= b", "a b <= b c",
         "a b c <= a b c", "a b c <= b c",
@@ -300,18 +302,18 @@ def test_show_theory_follows_the_theory_order_on_random_models():
             + [f"atom {atom.label(sig)}\n" for atom in m.atoms]
             + ["show theory\n"]
         )
-        lines = []
-        run_script(parse_script(text), emit=lines.append)
+        out = io.StringIO()
+        run_script(parse_script(text), emit=out.write)
         expected = [f"{d.left.label(sig)} <= {d.right.label(sig)}" for d in enumerate_theory(m)]
-        assert lines == expected
+        assert out.getvalue().splitlines() == expected
 
 
 def test_show_atoms_output_is_reparseable():
-    lines = []
+    out = io.StringIO()
     run_script(parse_script("constants a b\nassert a <= b\nshow atoms\n"),
-               emit=lines.append)
+               emit=out.write)
     body = "constants a b\n" + "\n".join(
-        line for line in lines if line.startswith("atom ")
+        line for line in out.getvalue().splitlines() if line.startswith("atom ")
     )
     script = parse_script(body)
     assert [a.names(script.sig) for a in script.atoms()] == [("a", "b"), ("b",)]
