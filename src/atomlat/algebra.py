@@ -3,14 +3,19 @@
 Everything here is atom images plus one identify step. The atom image
 :func:`map_atoms` sends each source constant to a set of target constants,
 possibly empty, and applies that to every atom's upper segment. The identify
-step forces pairs of terms equal by :func:`atomlat.crossing.full_crossing`
-in both directions, without reduction. Restriction and renaming are atom
-images; a quotient identifies two terms; a join places two atom sets side by
-side and identifies the shared constants; the crossing route of a
-subalgebra joins the free model on the fresh names, identifies each with its
-generator and restricts. A product unites two atom images on the pair grid,
-and the embedding into a free model and the subdirect decomposition read the
-atoms off directly.
+step forces pairs of terms equal by the reference crossing step
+:func:`atomlat.crossing._cross` in both directions, in place on a set of
+bare atom masks and without reduction, so a construction builds one sorted
+model at its end. Renaming is an atom image, and restriction its special
+case that keeps some constants in order, which copies the kept bits of each
+mask a run of neighbouring constants at a time. A quotient identifies two
+terms; a join places two atom sets side by side, identifies the shared
+constants and restricts their copies away; the crossing route of a
+subalgebra places the free atoms on the fresh names beside the model's,
+identifies each fresh name with its generator and restricts to the fresh
+names. A product unites two atom images on the pair grid, and the embedding
+into a free model and the subdirect decomposition read the atoms off
+directly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Atom, Duple, Signature, Term, bit_indices, mask_of, zero_atom
+from .core import Atom, Signature, Term, bit_indices, mask_of, zero_atom
 from .errors import (
     EmptyRestrictionSet,
     InvalidConstantName,
@@ -28,7 +33,7 @@ from .errors import (
     UnknownConstant,
     UnknownTargetConstant,
 )
-from .crossing import freest_model, full_crossing
+from .crossing import _cross, _sorted_model
 from .model import AtomColumns, Model, _require_in_sig, is_redundant, new_model, reduce, union_model
 
 
@@ -101,33 +106,57 @@ def restrict(model: Model, keep: str | Iterable[str]) -> Model:
     intersections drop the atom. The kept constants retain their original
     relative order.
     """
-    wanted = list(bit_indices(model.sig.mask_of_names(keep)))
-    if not wanted:
+    kept = model.sig.mask_of_names(keep)
+    if not kept:
         raise EmptyRestrictionSet("restriction needs at least one constant")
-    return _restrict_to_indices(model, wanted)
+    target = Signature(model.sig.names_of(kept))
+    return _restrict(target, (atom.mask for atom in model.atoms), kept)
 
 
-def _restrict_to_indices(model: Model, indices: list[int]) -> Model:
-    sub_sig = Signature(tuple(model.sig.names[i] for i in indices))
-    images = [0] * len(model.sig)
-    for new, old in enumerate(indices):
-        images[old] = 1 << new
-    return map_atoms(model, images, sub_sig)
+def _restrict(target: Signature, masks: Iterable[int], keep: int) -> Model:
+    """The atom image that keeps the constants of ``keep``, in order, as ``target``'s.
+
+    Each mask's kept bits are copied one run of neighbouring constants at a
+    time, ``(mask >> old & run) << new``; empty images vanish, and one
+    :func:`new_model` merges equal images and repairs lost coverage.
+    """
+    runs, width = [], 0
+    while keep:
+        low = keep & -keep
+        run = keep & ~(keep + low)  # the lowest run of neighbouring kept bits
+        old = low.bit_length() - 1
+        runs.append((old, run >> old, width))
+        width += run.bit_count()
+        keep ^= run
+    images = set()
+    for mask in masks:
+        image = 0
+        for old, run, new in runs:
+            image |= (mask >> old & run) << new
+        images.add(image)
+    images.discard(0)
+    return new_model(target, map(Atom, images))
 
 
-def _identify(model: Model, pairs: Iterable[tuple[Term, Term]]) -> Model:
-    """Force each pair of terms equal: cross ``s <= t``, then ``t <= s``, in order."""
+def _identify(masks: set[int], pairs: Iterable[tuple[int, int]]) -> bool:
+    """Force each pair of term masks equal, in place: cross ``s <= t``, then
+    ``t <= s``, in order. Returns whether any mask moved."""
+    moved = False
     for s, t in pairs:
-        model = full_crossing(full_crossing(model, Duple(s, t)), Duple(t, s))
-    return model
+        moved |= _cross(masks, s, t)
+        moved |= _cross(masks, t, s)
+    return moved
 
 
 def quotient(model: Model, a: Term, b: Term) -> Model:
     """The quotient by the principal congruence identifying two terms.
 
-    Computed by crossing both directions: first b <= a, then a <= b.
+    Computed by crossing both directions: first b <= a, then a <= b. A term
+    outside the signature raises :class:`~atomlat.errors.SignatureMismatch`.
     """
-    return _identify(model, [(b, a)])
+    _require_in_sig(model.sig, a.mask | b.mask)
+    masks = {atom.mask for atom in model.atoms}
+    return _sorted_model(model, masks) if _identify(masks, [(b.mask, a.mask)]) else model
 
 
 def join(m: Model, n: Model) -> Model:
@@ -135,29 +164,29 @@ def join(m: Model, n: Model) -> Model:
 
     The two atom sets are first placed side by side, n's constants after m's.
     With disjoint constant sets that is the join. A shared constant c is
-    split: n's copy gets a fresh primed name c', c' is identified with c by
-    crossing both directions, and the primes are restricted away.
+    split: n's copy of c is a constant of its own, identified with c by
+    crossing both directions, and the copies are restricted away.
     """
     offset = len(m.sig)
-    taken = set(m.sig.names) | set(n.sig.names)
-    names, pairs, copies = list(m.sig.names), [], 0
+    names, pairs, keep = list(m.sig.names), [], m.sig.full_mask
     for j, name in enumerate(n.sig.names):
+        copy = 1 << (offset + j)
         if name in m.sig:
-            copies |= 1 << (offset + j)
-            pairs.append((Term(1 << (offset + j)), Term(1 << m.sig.index_of(name))))
-            while name in taken:
-                name += "'"
-            taken.add(name)
-        names.append(name)
-    ext = Signature(tuple(names))
-    # m's atoms use only the low positions and n's shifted ones only the
-    # high ones, so the two canonical tuples end to end are canonical,
-    # distinct and covering.
-    united = Model(ext, m.atoms + tuple(Atom(atom.mask << offset) for atom in n.atoms))
+            pairs.append((copy, 1 << m.sig.index_of(name)))
+        else:
+            names.append(name)
+            keep |= copy
+    target = Signature(tuple(names))
+    shifted = [atom.mask << offset for atom in n.atoms]
     if not pairs:
-        return united
-    crossed = _identify(united, pairs)
-    return _restrict_to_indices(crossed, list(bit_indices(ext.full_mask & ~copies)))
+        # m's atoms use only the low positions and n's shifted ones only the
+        # high ones, so the two canonical tuples end to end are canonical,
+        # distinct and covering.
+        return Model(target, m.atoms + tuple(map(Atom, shifted)))
+    masks = {atom.mask for atom in m.atoms}
+    masks.update(shifted)
+    _identify(masks, pairs)
+    return _restrict(target, masks, keep)
 
 
 SUBALGEBRA_ROUTES = ("rename", "crossing")
@@ -201,10 +230,11 @@ def subalgebra(
         return map_atoms(model, images, Signature(names))
 
     offset = len(model.sig)
-    fresh = range(offset, offset + len(names))
-    adjoined = join(model, freest_model(Signature(names)))
-    crossed = _identify(adjoined, [(term, Term(1 << i)) for term, i in zip(generators, fresh)])
-    return _restrict_to_indices(crossed, list(fresh))
+    fresh = [1 << (offset + i) for i in range(len(names))]
+    masks = {atom.mask for atom in model.atoms}
+    masks.update(fresh)
+    _identify(masks, [(term.mask, bit) for term, bit in zip(generators, fresh)])
+    return _restrict(Signature(names), masks, sum(fresh))
 
 
 def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:

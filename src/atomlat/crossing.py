@@ -9,8 +9,12 @@ them exactly when it fails in that model, which is how the deny verdicts of
 :func:`fused_crossing` yields the reduced result of one such step without
 building the whole union grid. :func:`cross_runs` is the one crossing
 loop: it crosses runs of duples on one chain, one run per ``show`` of a
-script, and :func:`cross_positives` is its one-run case. The identify step
-of :mod:`atomlat.algebra` folds :func:`full_crossing` over its duples.
+script, and :func:`cross_positives` is its one-run case. The reference
+step is :func:`_cross`, in place on a bare set of atom masks:
+:func:`full_crossing` is that step on a model, a ``never`` run folds it
+over one mask set, and the identify step of :mod:`atomlat.algebra` folds
+it over the masks of a construction, so each of them sorts and builds one
+model at its end.
 
 The reduced result of a chain does not depend on the order of its duples:
 it is the unique non-redundant atomization of the freest model, and the
@@ -37,28 +41,56 @@ def full_crossing(model: Model, r: Duple) -> Model:
 
     If the duple already holds, the model is returned unchanged. Otherwise
     the discriminant atoms are replaced by their unions with every atom below
-    the right term; duplicates produced by the union grid merge immediately,
-    and the atoms the crossing keeps are the caller's own objects. This is
-    the reference crossing: it works on any atom set, reduced or not. It
-    needs no :func:`atomlat.model.new_model` check: its masks stay inside the
-    signature, and each moved ``h`` gives way to unions ``h | b ⊇ h``.
+    the right term (:func:`_cross`); duplicates produced by the union grid
+    merge immediately, and the atoms the crossing keeps are the caller's own
+    objects. This is the reference crossing: it works on any atom set,
+    reduced or not. It needs no :func:`atomlat.model.new_model` check: its
+    masks stay inside the signature, and each moved ``h`` gives way to
+    unions ``h | b ⊇ h``.
     """
     left, right = r.left.mask, r.right.mask
     _require_in_sig(model.sig, left | right)
-    kept, moved, below = [], [], []
-    for atom in model.atoms:
-        mask = atom.mask
+    masks = {atom.mask for atom in model.atoms}
+    return _sorted_model(model, masks) if _cross(masks, left, right) else model
+
+
+def _cross(masks: set[int], left: int, right: int) -> bool:
+    """Cross ``left <= right`` into a set of atom masks, in place; return whether any moved.
+
+    The masks that meet ``left`` but not ``right`` (the discriminant) are
+    removed, and their unions ``h | b`` with every mask ``b`` that meets
+    ``right`` are added. Nothing is checked or reduced, so the terms must lie
+    inside the signature of the masks.
+
+    >>> sig = Signature.of("a b c d e")
+    >>> masks = {sig.mask_of_names(x) for x in ("a", "a b", "c d e", "b e", "c", "d")}
+    >>> b, a_d = sig.mask_of_names("b"), sig.mask_of_names("a d")
+    >>> _cross(masks, b, a_d)
+    True
+    >>> sorted(" ".join(sig.names_of(mask)) for mask in masks)
+    ['a', 'a b', 'a b e', 'b c d e', 'b d e', 'c', 'c d e', 'd']
+    >>> _cross(masks, b, a_d)
+    False
+    """
+    moved, below = [], []
+    for mask in masks:
         if mask & right:
             below.append(mask)
         elif mask & left:
             moved.append(mask)
-            continue
-        kept.append(atom)
     if not moved:
-        return model
-    unions = {h | b for h in moved for b in below}.difference(atom.mask for atom in kept)
-    kept.extend(Atom(u) for u in unions)
-    return Model(model.sig, tuple(sorted(kept, key=canonical_key)))
+        return False
+    masks.difference_update(moved)
+    masks.update({h | b for h in moved for b in below})
+    return True
+
+
+def _sorted_model(model: Model, masks: set[int]) -> Model:
+    """The masks as a model over ``model``'s signature, in canonical order,
+    reusing ``model``'s atom for each mask it holds."""
+    atoms = [atom for atom in model.atoms if atom.mask in masks]
+    atoms.extend(map(Atom, masks.difference([atom.mask for atom in atoms])))
+    return Model(model.sig, tuple(sorted(atoms, key=canonical_key)))
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:
@@ -157,10 +189,10 @@ def cross_positives(
     ``after_each`` the duples are crossed in :func:`_growth` order; the
     order cannot change the result, since crossing adds the duples to
     the theory of the start, whatever their order, and a semilattice has
-    one non-redundant atomization. Under ``never`` every step is
-    :func:`full_crossing` and redundant atoms stay, so the atom set depends
-    on the order, and the duples are crossed in the given order. With no
-    duples the start is returned unchanged.
+    one non-redundant atomization. Under ``never`` every step is the
+    reference step :func:`_cross` and redundant atoms stay, so the atom set
+    depends on the order, and the duples are crossed in the given order.
+    With no duples the start is returned unchanged.
 
     >>> sig = Signature.of("a b c")
     >>> a_b, b_c, c_a = (Duple(sig.term(x), sig.term(y)) for x, y in ("ab", "bc", "ca"))
@@ -185,8 +217,9 @@ def cross_runs(
     duple is crossed by :func:`_schedule` on one live
     :class:`~atomlat.model.AtomColumns` index that the chain keeps across
     the runs, and a sorted model is built only at the end of a run that
-    changed the atoms. Under ``never`` each run folds :func:`full_crossing`
-    in the given order.
+    changed the atoms. Under ``never`` each run folds :func:`_cross` over
+    one mask set, in the given order, and a sorted model is built only when
+    the run changed it.
     """
     if reduce_policy not in REDUCE_POLICIES:
         raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
@@ -198,8 +231,12 @@ def cross_runs(
     index = None
     for run in runs:
         if reduce_policy == "never":
+            masks = {atom.mask for atom in model.atoms}
+            changed = False
             for r in run:
-                model = full_crossing(model, r)
+                changed |= _cross(masks, r.left.mask, r.right.mask)
+            if changed:
+                model = _sorted_model(model, masks)
         elif run:
             run = sorted(run, key=_growth)
             if index is None:

@@ -1,5 +1,6 @@
 import pytest
 
+from atomlat import algebra
 from atomlat.algebra import (
     RenameMap,
     embed_in_free,
@@ -14,7 +15,7 @@ from atomlat.algebra import (
     subdirect_decomposition,
 )
 from atomlat.core import Atom, Duple, Signature, Term
-from atomlat.crossing import freest_model, full_crossing
+from atomlat.crossing import cross_runs, freest_model, full_crossing
 from atomlat.errors import (
     EmptyRestrictionSet,
     EmptySignature,
@@ -203,6 +204,19 @@ def test_quotient_is_freest_model_of_extended_theory():
         base = list(enumerate_theory(m))
         base += [duple(m.sig, a, b), duple(m.sig, b, a)]
         assert enumerate_theory(q) == closure_oracle(m.sig, base)
+
+
+def test_a_term_outside_the_signature_fails_before_any_crossing(monkeypatch):
+    # the identify step checks nothing itself, so a crossing would fail on None
+    monkeypatch.setattr(algebra, "_cross", None)
+    m = mk("a b", "a", "b")
+    outside = Term(0b100)
+    with pytest.raises(SignatureMismatch):
+        quotient(m, m.sig.term("a"), outside)
+    with pytest.raises(SignatureMismatch):
+        quotient(m, outside, m.sig.term("b"))
+    with pytest.raises(SignatureMismatch):
+        subalgebra(m, [m.sig.term("a"), outside], ["g1", "g2"], route="crossing")
 
 
 # -------------------------------------------------------------------- join
@@ -588,6 +602,98 @@ def test_crossing_constructions_equal_explicit_full_crossing_chains():
             crossed = cross(crossed, Duple(term, fresh))
             crossed = cross(crossed, Duple(fresh, term))
         assert subalgebra(m, gens, names, route="crossing") == restrict(crossed, names)
+
+
+def workload_model(rng, names, low, high):
+    """low to high random atoms of 1 to 3 constants, plus a singleton for
+    each constant left uncovered, as the algebra benchmark draws them."""
+    n = len(names)
+    masks = {random_term(rng, n).mask for _ in range(rng.randint(low, high))}
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    masks.update(1 << i for i in range(n) if not covered >> i & 1)
+    return new_model(Signature(tuple(names)), map(Atom, masks))
+
+
+def restrict_by_images(model, keep):
+    """The restriction to the kept indices as a plain :func:`map_atoms` image."""
+    images = [1 << keep.index(i) if i in keep else 0 for i in range(len(model.sig))]
+    return map_atoms(model, images, Signature(tuple(model.sig.names[i] for i in keep)))
+
+
+def test_constructions_at_workload_scale_equal_the_reference_fold():
+    # m over 8-13 constants, 5-6 of them shared with o, as the algebra
+    # benchmark draws them; the reference folds full_crossing and restricts.
+    # Like the benchmark, the join check leaves out the few joins of over a
+    # thousand atoms, whose reference fold takes seconds.
+    def fold(model, duples):
+        for r in duples:
+            model = full_crossing(model, r)
+        return model
+
+    def both_ways(pairs):
+        return [d for s, t in pairs for d in (Duple(s, t), Duple(t, s))]
+
+    rng = seeded(2511)
+    joins = skip_zero = single_runs = empty_images = 0
+    for _ in range(200):
+        nm = rng.randint(8, 13)
+        m_names = [f"m{j}" for j in range(nm)]
+        m = workload_model(rng, m_names, nm, 2 * nm)
+        shared = rng.sample(m_names, rng.randint(5, 6))
+        o_names = shared + [f"o{j}" for j in range(rng.randint(3, 6))]
+        o = workload_model(rng, o_names, len(o_names), 2 * len(o_names))
+
+        # join: o's copy of each shared c is c', identified with c both ways
+        joined = join(m, o)
+        ext = Signature(tuple(m_names + [x + "'" if x in shared else x for x in o_names]))
+        side_by_side = new_model(ext, m.atoms + tuple(Atom(x.mask << nm) for x in o.atoms))
+        copies = [(Term(1 << (nm + j)), Term(1 << m_names.index(x)))
+                  for j, x in enumerate(o_names) if x in shared]
+        if len(joined.atoms) <= 1000:
+            joins += 1
+            crossed = fold(side_by_side, both_ways(copies))
+            keep = m_names + [x for x in o_names if x not in shared]
+            assert joined == restrict(crossed, keep)
+
+        # quotient: first b <= a, then a <= b
+        a, b = Term(1 << rng.randrange(nm)), random_term(rng, nm, 2)
+        assert quotient(m, a, b) == fold(m, [Duple(b, a), Duple(a, b)])
+
+        # crossing-route subalgebra: the free atoms on the fresh names beside m's
+        gens = [random_term(rng, nm) for _ in range(rng.randint(3, 4))]
+        names = [f"g{k}" for k in range(len(gens))]
+        fresh = [Term(1 << (nm + k)) for k in range(len(gens))]
+        ext = Signature(tuple(m_names + names))
+        beside = new_model(ext, m.atoms + tuple(Atom(t.mask) for t in fresh))
+        crossed = fold(beside, both_ways(zip(gens, fresh)))
+        assert subalgebra(m, gens, names, route="crossing") == restrict(crossed, names)
+
+        # never runs: one full_crossing fold per run, empty runs included
+        duples = [random_duple(rng, nm) for _ in range(rng.randint(nm, 3 * nm))]
+        cuts = sorted(rng.choices(range(len(duples) + 1), k=rng.randint(0, 4)))
+        runs = [duples[i:j] for i, j in zip([0, *cuts], [*cuts, len(duples)])]
+        expected, model = [], m
+        for run in runs:
+            model = fold(model, run)
+            expected.append(model)
+        assert list(cross_runs(m, runs, "never")) == expected
+
+        # restriction by runs of neighbouring indices, against the plain image
+        for keep in (
+            sorted(rng.sample(range(1, nm), rng.randint(1, nm - 1))),
+            list(range(rng.randrange(2), nm, 2)),
+            sorted(rng.sample(range(nm), rng.randint(1, nm))),
+        ):
+            restricted = restrict(m, [m_names[i] for i in keep])
+            assert restricted == restrict_by_images(m, keep)
+            skip_zero += 0 not in keep
+            single_runs += any(i + 1 not in keep and i - 1 not in keep for i in keep)
+            kept = sum(1 << i for i in keep)
+            empty_images += any(not x.mask & kept for x in m.atoms)
+    assert joins >= 190
+    assert min(skip_zero, single_runs, empty_images) >= 200
 
 
 # ------------------------------------------------------------ embed_in_free

@@ -295,8 +295,10 @@ def test_sorted_chain_splits_each_later_duple_once(monkeypatch):
 @pytest.mark.parametrize("policy", ["after_each", "never", "runs"])
 def test_chain_leaving_the_signature_fails_before_any_crossing(policy, monkeypatch):
     seen = []
-    # every chain starts with full_crossing, so a crossing would fail on None
+    # an after_each chain starts with full_crossing and every never step is
+    # _cross, so a crossing would fail on None
     monkeypatch.setattr(crossing, "full_crossing", None)
+    monkeypatch.setattr(crossing, "_cross", None)
     sig = sig_of_size(3)
     # the last duple names a fourth constant
     duples = [Duple(Term(1 << i), Term(1 << (i + 1))) for i in range(3)]
