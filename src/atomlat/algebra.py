@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Atom, Signature, Term, bit_indices, mask_of, zero_atom
+from .core import Atom, Signature, Term, bit_indices, canonical_masks, mask_of, zero_atom
 from .errors import (
     EmptyRestrictionSet,
     InvalidConstantName,
@@ -33,8 +33,16 @@ from .errors import (
     UnknownConstant,
     UnknownTargetConstant,
 )
-from .crossing import _cross, _sorted_model
-from .model import AtomColumns, Model, _require_in_sig, is_redundant, new_model, reduce, union_model
+from .crossing import _cross
+from .model import (
+    AtomColumns,
+    Model,
+    _require_in_sig,
+    is_redundant,
+    model_of_masks,
+    reduce,
+    union_model,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +82,14 @@ def map_atoms(model: Model, images: Sequence[int], target: Signature) -> Model:
     """
     if len(images) != len(model.sig):
         raise ValueError(f"map_atoms needs {len(model.sig)} images, got {len(images)}")
-    atoms = []
-    for atom in model.atoms:
+    masks = []
+    for mask in model.masks:
         image = 0
-        for i in bit_indices(atom.mask):
+        for i in bit_indices(mask):
             image |= images[i]
         if image:
-            atoms.append(Atom(image))
-    return new_model(target, atoms)
+            masks.append(image)
+    return model_of_masks(target, masks)
 
 
 def rename(model: Model, rmap: RenameMap) -> Model:
@@ -110,7 +118,7 @@ def restrict(model: Model, keep: str | Iterable[str]) -> Model:
     if not kept:
         raise EmptyRestrictionSet("restriction needs at least one constant")
     target = Signature(model.sig.names_of(kept))
-    return _restrict(target, (atom.mask for atom in model.atoms), kept)
+    return _restrict(target, model.masks, kept)
 
 
 def _restrict(target: Signature, masks: Iterable[int], keep: int) -> Model:
@@ -118,7 +126,8 @@ def _restrict(target: Signature, masks: Iterable[int], keep: int) -> Model:
 
     Each mask's kept bits are copied one run of neighbouring constants at a
     time, ``(mask >> old & run) << new``; empty images vanish, and one
-    :func:`new_model` merges equal images and repairs lost coverage.
+    :func:`~atomlat.model.model_of_masks` merges equal images and repairs
+    lost coverage.
     """
     runs, width = [], 0
     while keep:
@@ -135,7 +144,7 @@ def _restrict(target: Signature, masks: Iterable[int], keep: int) -> Model:
             image |= (mask >> old & run) << new
         images.add(image)
     images.discard(0)
-    return new_model(target, map(Atom, images))
+    return model_of_masks(target, list(images))
 
 
 def _identify(masks: set[int], pairs: Iterable[tuple[int, int]]) -> bool:
@@ -155,8 +164,10 @@ def quotient(model: Model, a: Term, b: Term) -> Model:
     outside the signature raises :class:`~atomlat.errors.SignatureMismatch`.
     """
     _require_in_sig(model.sig, a.mask | b.mask)
-    masks = {atom.mask for atom in model.atoms}
-    return _sorted_model(model, masks) if _identify(masks, [(b.mask, a.mask)]) else model
+    masks = set(model.masks)
+    if not _identify(masks, [(b.mask, a.mask)]):
+        return model
+    return Model(model.sig, canonical_masks(masks))
 
 
 def join(m: Model, n: Model) -> Model:
@@ -177,13 +188,13 @@ def join(m: Model, n: Model) -> Model:
             names.append(name)
             keep |= copy
     target = Signature(tuple(names))
-    shifted = [atom.mask << offset for atom in n.atoms]
+    shifted = [mask << offset for mask in n.masks]
     if not pairs:
         # m's atoms use only the low positions and n's shifted ones only the
         # high ones, so the two canonical tuples end to end are canonical,
         # distinct and covering.
-        return Model(target, m.atoms + tuple(map(Atom, shifted)))
-    masks = {atom.mask for atom in m.atoms}
+        return Model(target, (*m.masks, *shifted))
+    masks = set(m.masks)
     masks.update(shifted)
     _identify(masks, pairs)
     return _restrict(target, masks, keep)
@@ -231,7 +242,7 @@ def subalgebra(
 
     offset = len(model.sig)
     fresh = [1 << (offset + i) for i in range(len(names))]
-    masks = {atom.mask for atom in model.atoms}
+    masks = set(model.masks)
     masks.update(fresh)
     _identify(masks, [(term.mask, bit) for term, bit in zip(generators, fresh)])
     return _restrict(Signature(names), masks, sum(fresh))
@@ -270,7 +281,7 @@ def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:
             raise NameCollision(
                 f"shared constant {name!r} also names the pair {pairs[name]}"
             )
-    return Model(Signature(tuple(diagonal.get(g, g) for g in grid.names)), result.atoms)
+    return Model(Signature(tuple([diagonal.get(g, g) for g in grid.names])), result.masks)
 
 
 @dataclass(frozen=True)
@@ -287,7 +298,7 @@ class SubdirectComponent:
 
     def component_model(self) -> Model:
         sig = Signature((self.top_name, self.bottom_name))
-        return Model(sig, (Atom(0b01), Atom(0b11)))
+        return Model(sig, (0b01, 0b11))
 
 
 @dataclass(frozen=True)
@@ -310,19 +321,19 @@ def subdirect_decomposition(model: Model) -> Decomposition:
     """
     red = reduce(model)
     full = red.sig.full_mask
-    picked = [atom for atom in red.atoms if atom.mask != full]
+    picked = [mask for mask in red.masks if mask != full]
     if not picked:
         raise TrivialModel("the one-element model has no subdirect decomposition")
-    components = tuple(
-        SubdirectComponent(atom, f"z{j + 1}", f"zb{j + 1}")
-        for j, atom in enumerate(picked)
-    )
+    components = tuple([
+        SubdirectComponent(Atom(mask), f"z{j + 1}", f"zb{j + 1}")
+        for j, mask in enumerate(picked)
+    ])
     generators = []
     for i, name in enumerate(red.sig.names):
-        coords = tuple(
+        coords = tuple([
             comp.top_name if comp.atom.mask >> i & 1 else comp.bottom_name
             for comp in components
-        )
+        ])
         generators.append((name, coords))
     return Decomposition(red, components, tuple(generators))
 
@@ -334,9 +345,9 @@ def embed_in_free(model: Model) -> tuple[Signature, tuple[Term, ...]]:
     below c. The subalgebra of the free model over the returned signature
     generated by the returned terms reproduces the model.
     """
-    free_sig = Signature(tuple(f"z{k + 1}" for k in range(len(model.atoms))))
-    index = AtomColumns([atom.mask for atom in model.atoms], len(model.sig))
-    return free_sig, tuple(Term(column) for column in index.columns)
+    free_sig = Signature(tuple([f"z{k + 1}" for k in range(len(model.masks))]))
+    index = AtomColumns(model.masks, len(model.sig))
+    return free_sig, tuple([Term(column) for column in index.columns])
 
 
 def restriction_homomorphism_exists(model: Model, keep: str | Iterable[str]) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 
 from .algebra import (
@@ -39,6 +38,7 @@ from .script import (
 from .serialize import (
     decomposition_to_dict,
     embedding_to_dict,
+    json_text,
     model_from_json,
     model_to_dot,
     model_to_json,
@@ -156,7 +156,7 @@ def _cmd_subalgebra(args) -> int:
 def _cmd_decompose(args) -> int:
     model = _load_model(args.file)
     doc = decomposition_to_dict(subdirect_decomposition(model))
-    _write_result(args, json.dumps(doc, indent=2) + "\n")
+    _write_result(args, json_text(doc) + "\n")
     return EXIT_OK
 
 
@@ -164,7 +164,7 @@ def _cmd_embed_free(args) -> int:
     model = _load_model(args.file)
     free_sig, terms = embed_in_free(model)
     doc = embedding_to_dict(model, free_sig, terms)
-    _write_result(args, json.dumps(doc, indent=2) + "\n")
+    _write_result(args, json_text(doc) + "\n")
     return EXIT_OK
 
 

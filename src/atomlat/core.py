@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from typing import ClassVar, Iterable, Iterator
 
 from .errors import (
@@ -88,7 +89,7 @@ class Signature:
         return (1 << len(self.names)) - 1
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in bit_indices(mask))
+        return tuple([self.names[i] for i in bit_indices(mask)])
 
     def mask_of_names(self, names: str | Iterable[str]) -> int:
         """The bitmask of the named constants; a string is split on whitespace.
@@ -225,7 +226,44 @@ def canonical_key(value: Atom | Term) -> str:
     >>> [a.label(sig) for a in sorted(map(sig.atom, ["c", "a b c", "b", "a"]), key=canonical_key)]
     ['a', 'a b c', 'b', 'c']
     """
-    return bin(value.mask)[:1:-1].translate(_KEY_DIGITS)
+    return _mask_key(value.mask)
+
+
+def _mask_key(mask: int) -> str:
+    return bin(mask)[:1:-1].translate(_KEY_DIGITS)
+
+
+def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """The distinct masks, first occurrences kept, in canonical order.
+
+    This is the one order step of every model builder. The masks are sorted
+    by :func:`canonical_key` only when :func:`_in_order` finds two
+    neighbours out of order, so a document written in canonical order is
+    read without a sort.
+
+    >>> canonical_masks([0b100, 0b001, 0b111, 0b010, 0b100])
+    (1, 7, 2, 4)
+    """
+    out = list(dict.fromkeys(masks))
+    if not _in_order(out):
+        out.sort(key=_mask_key)
+    return tuple(out)
+
+
+def _in_order(masks: list[int]) -> bool:
+    """Whether distinct masks are in canonical order, by one pass over neighbours.
+
+    For neighbours ``a`` and ``b``, with ``p`` the lowest bit where they
+    differ, the index lists agree below ``p``. If ``a`` holds ``p``, it
+    comes first exactly when ``b`` goes on past ``p`` (``b > p``); if ``b``
+    holds it, exactly when ``a`` stops before ``p`` (``a < p``).
+    """
+    for a, b in pairwise(masks):
+        p = a ^ b
+        p &= -p
+        if not ((b > p) if a & p else (a < p)):
+            return False
+    return True
 
 
 def canonical_terms(sig: Signature) -> Iterator[tuple[int, str]]:

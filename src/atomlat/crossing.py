@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import Atom, Duple, Signature, canonical_key
+from .core import Duple, Signature, canonical_masks
 from .model import AtomColumns, Model, _require_in_sig, reduce
 
 REDUCE_POLICIES = ("after_each", "never")
@@ -41,17 +41,16 @@ def full_crossing(model: Model, r: Duple) -> Model:
 
     If the duple already holds, the model is returned unchanged. Otherwise
     the discriminant atoms are replaced by their unions with every atom below
-    the right term (:func:`_cross`); duplicates produced by the union grid
-    merge immediately, and the atoms the crossing keeps are the caller's own
-    objects. This is the reference crossing: it works on any atom set,
-    reduced or not. It needs no :func:`atomlat.model.new_model` check: its
-    masks stay inside the signature, and each moved ``h`` gives way to
-    unions ``h | b ⊇ h``.
+    the right term (:func:`_cross`), and duplicates produced by the union
+    grid merge immediately. This is the reference crossing: it works on any
+    atom set, reduced or not. It needs no :func:`atomlat.model.new_model`
+    check: its masks stay inside the signature, and each moved ``h`` gives
+    way to unions ``h | b ⊇ h``.
     """
     left, right = r.left.mask, r.right.mask
     _require_in_sig(model.sig, left | right)
-    masks = {atom.mask for atom in model.atoms}
-    return _sorted_model(model, masks) if _cross(masks, left, right) else model
+    masks = set(model.masks)
+    return Model(model.sig, canonical_masks(masks)) if _cross(masks, left, right) else model
 
 
 def _cross(masks: set[int], left: int, right: int) -> bool:
@@ -83,14 +82,6 @@ def _cross(masks: set[int], left: int, right: int) -> bool:
     masks.difference_update(moved)
     masks.update({h | b for h in moved for b in below})
     return True
-
-
-def _sorted_model(model: Model, masks: set[int]) -> Model:
-    """The masks as a model over ``model``'s signature, in canonical order,
-    reusing ``model``'s atom for each mask it holds."""
-    atoms = [atom for atom in model.atoms if atom.mask in masks]
-    atoms.extend(map(Atom, masks.difference([atom.mask for atom in atoms])))
-    return Model(model.sig, tuple(sorted(atoms, key=canonical_key)))
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:
@@ -135,7 +126,7 @@ def _replace(index: AtomColumns, moved: int, below: int):
 
 def _model_of(sig: Signature, index: AtomColumns) -> Model:
     """The live atoms of ``index`` as a model, in canonical order."""
-    return Model(sig, tuple(sorted(map(Atom, index.masks_at(index.live)), key=canonical_key)))
+    return Model(sig, canonical_masks(index.masks_at(index.live)))
 
 
 def fused_crossing(model: Model, r: Duple) -> Model:
@@ -167,7 +158,7 @@ def fused_crossing(model: Model, r: Duple) -> Model:
     ``c d`` strictly contains the trace ``c`` of ``b c``, so it is skipped:
 
     >>> sig = Signature.of("a b c d")
-    >>> m = Model(sig, tuple(map(sig.atom, ["a b", "a c d", "b c"])))
+    >>> m = Model(sig, tuple(map(sig.mask_of_names, ["a b", "a c d", "b c"])))
     >>> r = Duple(sig.term("a"), sig.term("c"))
     >>> [atom.label(sig) for atom in full_crossing(m, r).atoms]
     ['a b c', 'a b c d', 'a c d', 'b c']
@@ -175,7 +166,7 @@ def fused_crossing(model: Model, r: Duple) -> Model:
     ['a b c', 'a c d', 'b c']
     """
     _require_in_sig(model.sig, r.left.mask | r.right.mask)
-    index = AtomColumns([atom.mask for atom in model.atoms], len(model.sig))
+    index = AtomColumns(model.masks, len(model.sig))
     return _model_of(model.sig, index) if _schedule(index, [r]) else model
 
 
@@ -231,17 +222,17 @@ def cross_runs(
     index = None
     for run in runs:
         if reduce_policy == "never":
-            masks = {atom.mask for atom in model.atoms}
+            masks = set(model.masks)
             changed = False
             for r in run:
                 changed |= _cross(masks, r.left.mask, r.right.mask)
             if changed:
-                model = _sorted_model(model, masks)
+                model = Model(sig, canonical_masks(masks))
         elif run:
             run = sorted(run, key=_growth)
             if index is None:
                 model = reduce(full_crossing(model, run[0]))
-                index = AtomColumns([atom.mask for atom in model.atoms], len(sig))
+                index = AtomColumns(model.masks, len(sig))
                 run = run[1:]
             if _schedule(index, run):
                 model = _model_of(sig, index)
@@ -291,6 +282,6 @@ def freest_model(
     are crossed in :func:`_growth` order (see :func:`cross_runs`); under
     ``never`` they are crossed in the given order.
     """
-    singletons = Model(sig, tuple(Atom(1 << i) for i in range(len(sig))))
+    singletons = Model(sig, tuple([1 << i for i in range(len(sig))]))
     return cross_positives(singletons, positives, reduce_policy)
 

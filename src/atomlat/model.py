@@ -1,6 +1,8 @@
 """Atomized models over a signature.
 
-A model is a deduplicated, canonically ordered set of atoms. The atoms fully
+A model is a deduplicated, canonically ordered set of atoms, stored as the
+bitmasks of their upper constant segments; :class:`~atomlat.core.Atom`
+objects are built only when ``Model.atoms`` is read. The atoms fully
 determine the order between terms: t <= s holds exactly when every atom below
 t is also below s, where "atom below term" means the atom's upper constant
 segment meets the term's components. :func:`enumerate_theory` writes the order
@@ -22,9 +24,8 @@ from .core import (
     Signature,
     Term,
     bit_indices,
-    canonical_key,
+    canonical_masks,
     canonical_terms,
-    zero_atom,
 )
 from .errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 
@@ -38,20 +39,30 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 @dataclass(frozen=True)
 class Model:
-    """An atomized model: a signature plus canonically ordered atoms.
+    """An atomized model: a signature plus the masks of its atoms in canonical order.
 
-    The atoms are distinct, lie inside the signature and cover every
-    constant. Direct construction performs no checks: the engine's own steps
-    (crossing, :func:`reduce`, the singletons of a freest model, the
-    side-by-side atoms of a join) keep these facts by construction, and
-    atoms from anywhere else go through :func:`new_model`.
+    ``masks[k]`` is the bitmask of the upper constant segment of the k-th
+    atom. The masks are distinct, lie inside the signature and cover every
+    constant, and they come in the order of
+    :func:`~atomlat.core.canonical_masks`. Direct construction performs no
+    checks: the engine's own steps (crossing, :func:`reduce`, the singletons
+    of a freest model, the side-by-side atoms of a join) keep these facts by
+    construction, and atoms from anywhere else go through :func:`new_model`.
+    Two models are equal exactly when they have the same signature and the
+    same atoms.
     """
 
     sig: Signature
-    atoms: tuple[Atom, ...]
+    masks: tuple[int, ...]
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms as :class:`~atomlat.core.Atom` objects, built on each read."""
+        return tuple([Atom(mask) for mask in self.masks])
 
     def __repr__(self) -> str:
-        inner = ", ".join(atom.label(self.sig) for atom in self.atoms)
+        names_of = self.sig.names_of
+        inner = ", ".join([" ".join(names_of(mask)) for mask in self.masks])
         return f"Model<{' '.join(self.sig.names)}>[{inner}]"
 
 
@@ -153,32 +164,41 @@ class TheorySlice:
 def new_model(sig: Signature, atoms: Iterable[Atom] = ()) -> Model:
     """Canonical model constructor, for atoms the engine did not make.
 
-    It serves atom lists from outside (model documents, script ``atom``
-    lines, library lists) and atom images (``map_atoms``, ``union_model``),
-    where duplicates or lost coverage can occur. It rejects an atom outside
-    the signature, deduplicates the atoms by mask, keeping the caller's
-    objects, and sorts them canonically. If some constant ends up covered by
-    no atom, the zero atom is inserted so that the result is a model, and a
-    :class:`CoverageRepairWarning` is emitted.
+    It serves atom lists from outside (script ``atom`` lines, library
+    lists), where duplicates or lost coverage can occur. It rejects an atom
+    outside the signature, deduplicates the atoms by mask and puts them in
+    canonical order. If some constant ends up covered by no atom, the zero
+    atom is inserted so that the result is a model, and a
+    :class:`CoverageRepairWarning` is emitted. Model documents and atom
+    images take the same checks on bare masks (:func:`model_of_masks`).
+    """
+    return model_of_masks(sig, [atom.mask for atom in atoms])
+
+
+def model_of_masks(sig: Signature, masks: list[int]) -> Model:
+    """:func:`new_model` for the bare masks of non-empty atoms.
+
+    The checks run on the OR of all the masks, so a valid list costs one
+    pass before :func:`~atomlat.core.canonical_masks`.
     """
     full = sig.full_mask
-    by_mask = {atom.mask: atom for atom in atoms}
     covered = 0
-    for mask, atom in by_mask.items():
-        if mask & ~full:
-            raise SignatureMismatch(
-                f"atom {atom.indices()} uses constants outside the signature"
-            )
+    for mask in masks:
         covered |= mask
+    if covered & ~full:
+        mask = next(mask for mask in masks if mask & ~full)
+        raise SignatureMismatch(
+            f"atom {tuple(bit_indices(mask))} uses constants outside the signature"
+        )
     if covered != full:
         uncovered = sig.names_of(full & ~covered)
         warnings.warn(
             f"constants {' '.join(uncovered)} covered by no atom; zero atom inserted",
             CoverageRepairWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        by_mask[full] = zero_atom(sig)
-    return Model(sig, tuple(sorted(by_mask.values(), key=canonical_key)))
+        masks = [*masks, full]
+    return Model(sig, canonical_masks(masks))
 
 
 def _require_in_sig(sig: Signature, mask: int):
@@ -200,8 +220,7 @@ def holds(model: Model, d: Duple) -> bool:
     """
     left, right = d.left.mask, d.right.mask
     _require_in_sig(model.sig, left | right)
-    for atom in model.atoms:
-        mask = atom.mask
+    for mask in model.masks:
         if mask & left and not mask & right:
             return False
     return True
@@ -214,11 +233,12 @@ def is_redundant(model: Model, phi: Atom) -> bool:
     strictly narrower atom of the model; equivalently, when it is a union of
     such atoms. The atom itself need not belong to the model.
     """
+    mask = phi.mask
     cover = 0
-    for eta in model.atoms:
-        if eta.mask != phi.mask and eta.mask & ~phi.mask == 0:
-            cover |= eta.mask
-    return cover == phi.mask
+    for eta in model.masks:
+        if eta != mask and eta & ~mask == 0:
+            cover |= eta
+    return cover == mask
 
 
 def _transpose(masks: Sequence[int], width: int) -> list[int]:
@@ -356,17 +376,17 @@ def reduce(model: Model) -> Model:
     >>> reduce(new_model(sig, [sig.atom("a"), sig.atom("b"), sig.atom("a b")])).atoms
     (Atom((0,)), Atom((1,)))
     """
-    index = AtomColumns(list(dict.fromkeys(atom.mask for atom in model.atoms)), len(model.sig))
+    index = AtomColumns(list(dict.fromkeys(model.masks)), len(model.sig))
     dropped = {mask for mask in index.position if index.redundant(mask)}
     if not dropped:
         return model
-    return Model(model.sig, tuple(atom for atom in model.atoms if atom.mask not in dropped))
+    return Model(model.sig, tuple([mask for mask in model.masks if mask not in dropped]))
 
 
 def union_model(a: Model, b: Model) -> Model:
     """The model atomized by the union of both atom sets."""
     _require_same_sig(a, b)
-    return new_model(a.sig, a.atoms + b.atoms)
+    return Model(a.sig, canonical_masks(a.masks + b.masks))
 
 
 def is_freer(a: Model, b: Model) -> bool:
@@ -377,8 +397,8 @@ def is_freer(a: Model, b: Model) -> bool:
     sentence of ``b`` is a negative sentence of ``a``.
     """
     _require_same_sig(a, b)
-    index = AtomColumns([atom.mask for atom in a.atoms], len(a.sig))
-    return all(phi.mask in index.position or index.redundant(phi.mask) for phi in b.atoms)
+    index = AtomColumns(a.masks, len(a.sig))
+    return all(phi in index.position or index.redundant(phi) for phi in b.masks)
 
 
 def _require_same_sig(a: Model, b: Model):
@@ -402,7 +422,7 @@ def segment_signatures(model: Model) -> list[int]:
     linearity from the per-constant columns of :class:`AtomColumns`: the
     segment of s + t is the union of the segments.
     """
-    per_constant = AtomColumns([atom.mask for atom in model.atoms], len(model.sig)).columns
+    per_constant = AtomColumns(model.masks, len(model.sig)).columns
     out = [0] * (model.sig.full_mask + 1)
     for t in range(1, model.sig.full_mask + 1):
         low = t & -t
@@ -430,8 +450,8 @@ def enumerate_theory(model: Model, cap: int = ENUM_CAP_DEFAULT) -> TheorySlice:
     containing = [every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
                   for i in range(n)]
     rows = [every ^ 1] * n
-    for atom in model.atoms:
-        constants = list(bit_indices(atom.mask))
+    for mask in model.masks:
+        constants = list(bit_indices(mask))
         meeting = 0
         for i in constants:
             meeting |= containing[i]

@@ -162,7 +162,7 @@ def axiom_check(model: Model) -> AxiomReport:
     the atoms, so it needs no check of its own.
     """
     full = model.sig.full_mask
-    masks = [atom.mask for atom in model.atoms]
+    masks = model.masks
     covered = 0
     for m in masks:
         covered |= m

@@ -81,10 +81,10 @@ class Script:
     statements: tuple[Statement, ...]
 
     def atoms(self) -> tuple[Atom, ...]:
-        return tuple(s.atom for s in self.statements if isinstance(s, AtomDecl))
+        return tuple([s.atom for s in self.statements if isinstance(s, AtomDecl)])
 
     def positives(self) -> tuple[Duple, ...]:
-        return tuple(s.duple for s in self.statements if isinstance(s, Assertion))
+        return tuple([s.duple for s in self.statements if isinstance(s, Assertion)])
 
 
 def _term_from_tokens(sig: Signature, line: int | None, tokens: list[str]) -> Term:
@@ -175,8 +175,9 @@ def format_duple(sig: Signature, duple: Duple) -> str:
 
 def _show(model: Model, section: str, emit: Callable[[str], object], cap: int):
     if section == "atoms":
-        for atom in model.atoms:
-            emit(f"atom {atom.label(model.sig)}\n")
+        names_of = model.sig.names_of
+        for mask in model.masks:
+            emit(f"atom {' '.join(names_of(mask))}\n")
     elif section == "elements":
         label = dict(canonical_terms(model.sig))
         for cls in enumerate_elements(model, cap):
@@ -230,9 +231,9 @@ def run_script(
     for section in sections:
         _show(next(models), section, emit, cap)
     model = next(models)
-    verdicts = tuple(
+    verdicts = tuple([
         (statement, holds(model, statement.duple))
         for statement in script.statements
         if isinstance(statement, Denial)
-    )
+    ])
     return model, verdicts

@@ -5,18 +5,31 @@ from __future__ import annotations
 import json
 
 from .algebra import Decomposition, RenameMap
-from .core import Signature, Term, bit_indices, canonical_terms
-from .model import ENUM_CAP_DEFAULT, Model, enumerate_theory, new_model, segment_signatures
+from .core import Atom, Signature, Term, bit_indices, canonical_terms
+from .model import (
+    ENUM_CAP_DEFAULT,
+    Model,
+    enumerate_theory,
+    model_of_masks,
+    segment_signatures,
+)
 
 
 def model_to_dict(model: Model) -> dict:
+    names_of = model.sig.names_of
     return {
         "constants": list(model.sig.names),
-        "atoms": [list(atom.names(model.sig)) for atom in model.atoms],
+        "atoms": [list(names_of(mask)) for mask in model.masks],
     }
 
 
 def model_from_dict(doc) -> Model:
+    """The model of a document, with the checks of :func:`atomlat.model.new_model`.
+
+    Each name list becomes a mask by one :meth:`Signature.mask_of_names`
+    call, and no :class:`~atomlat.core.Atom` is built: a document in
+    canonical order, as :func:`model_to_json` writes it, is read with no sort.
+    """
     if not isinstance(doc, dict) or set(doc) != {"constants", "atoms"}:
         raise ValueError("model document needs exactly the keys 'constants' and 'atoms'")
     constants, atoms = doc["constants"], doc["atoms"]
@@ -24,7 +37,13 @@ def model_from_dict(doc) -> Model:
             and all(isinstance(names, list) for names in atoms)):
         raise ValueError("model document needs a list of names and a list of name lists")
     sig = Signature(tuple(constants))
-    return new_model(sig, (sig.atom(names) for names in atoms))
+    of = sig.mask_of_names
+    return model_of_masks(sig, [of(names) or _no_atom() for names in atoms])
+
+
+def _no_atom():
+    """Reject an empty name list with the error :class:`~atomlat.core.Atom` gives it."""
+    raise ValueError(Atom._empty)
 
 
 def model_to_json(model: Model) -> str:
@@ -35,8 +54,7 @@ def model_to_json(model: Model) -> str:
     Atoms and signatures are never empty; only a hand-built model without
     atoms writes an empty list.
 
-    >>> sig = Signature.of("a b")
-    >>> print(model_to_json(new_model(sig, [sig.atom("a"), sig.atom("a b")])), end="")
+    >>> print(model_to_json(Model(Signature.of("a b"), (0b01, 0b11))), end="")
     {
       "constants": [
         "a",
@@ -57,11 +75,32 @@ def model_to_json(model: Model) -> str:
     cells = ["      " + q for q in quoted]
     constants = ",\n".join(["    " + q for q in quoted])
     atoms = ",\n".join(
-        "    [\n" + ",\n".join([cells[i] for i in bit_indices(atom.mask)]) + "\n    ]"
-        for atom in model.atoms
+        "    [\n" + ",\n".join([cells[i] for i in bit_indices(mask)]) + "\n    ]"
+        for mask in model.masks
     )
     atoms = "[\n" + atoms + "\n  ]" if atoms else "[]"
     return '{\n  "constants": [\n' + constants + '\n  ],\n  "atoms": ' + atoms + "\n}\n"
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with string keys, lists and strings.
+
+    Written by hand for the same reason as :func:`model_to_json`: the
+    indenting encoder leaves a reference cycle per call. ``indent`` is the
+    line break and indent before the value's closing bracket.
+
+    >>> json_text({"a": ["x", "é"], "b": {}, "c": []}) == json.dumps(
+    ...     {"a": ["x", "é"], "b": {}, "c": []}, indent=2)
+    True
+    """
+    if isinstance(value, str):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [inner + json.dumps(key) + ": " + json_text(v, inner) for key, v in value.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    items = [inner + json_text(v, inner) for v in value]
+    return "[" + ",".join(items) + indent + "]" if items else "[]"
 
 
 def _loads(text: str):
@@ -135,7 +174,8 @@ def model_to_dot(model: Model, cap: int = ENUM_CAP_DEFAULT) -> str:
     segs = segment_signatures(model)
     label = dict(canonical_terms(model.sig))
     labels = [_dot_escape(label[rep]) for rep in position]
-    atom_labels = ["{" + atom.label(model.sig) + "}" for atom in model.atoms]
+    names_of = model.sig.names_of
+    atom_labels = ["{" + " ".join(names_of(mask)) + "}" for mask in model.masks]
     nodes, edges = [], []
     for x, rep in enumerate(position):
         segment = ", ".join(atom_labels[k] for k in bit_indices(segs[rep]))

@@ -27,7 +27,7 @@ def mk(names, *atom_texts):
     """Build a model from space-separated constant names for each atom."""
     sig = Signature.of(names)
     atoms = sorted((sig.atom(text) for text in atom_texts), key=canonical_key)
-    return Model(sig, tuple(atoms))
+    return Model(sig, tuple(atom.mask for atom in atoms))
 
 
 def duple(sig, left, right):
@@ -63,7 +63,7 @@ def random_model(rng, names, max_atoms=6, ensure_singleton=False):
     if covered != full:
         masks.add(full)
     atoms = sorted((Atom(mask) for mask in masks), key=canonical_key)
-    return Model(sig, tuple(atoms))
+    return Model(sig, tuple(atom.mask for atom in atoms))
 
 
 # Reference definitions that ``holds``, the crossing engine, the element

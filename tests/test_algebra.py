@@ -724,7 +724,7 @@ def test_embed_terms_are_the_atom_columns_of_hand_built_models():
         # atoms over the lower constants only: the top ones may stay uncovered
         top = rng.randint(1, n)
         atoms = tuple(Atom(rng.randrange(1, 1 << top)) for _ in range(rng.randint(1, 8)))
-        m = Model(sig, atoms)
+        m = Model(sig, tuple(atom.mask for atom in atoms))
         columns = [sum(1 << k for k, x in enumerate(atoms) if x.mask >> i & 1) for i in range(n)]
         if all(columns):
             free_sig, terms = embed_in_free(m)

@@ -5,7 +5,9 @@ from atomlat.core import (
     Atom,
     Signature,
     Term,
+    _in_order,
     canonical_key,
+    canonical_masks,
     canonical_terms,
     pinning,
     zero_atom,
@@ -19,7 +21,7 @@ from atomlat.errors import (
     ZeroAtomHasNoPinningTerm,
 )
 
-from conftest import ODD_NAMES
+from conftest import ODD_NAMES, seeded
 
 ABCDE = Signature.of("a b c d e")
 
@@ -116,6 +118,32 @@ def test_canonical_key_orders_lexicographically():
         ("b",),
         ("c",),
     ]
+
+
+def masks_with_prefixes(rng, bits):
+    """Distinct masks below ``1 << bits``, with some of their low parts, which
+    are prefixes of their index lists."""
+    masks = {rng.randrange(1, 1 << bits) for _ in range(rng.randint(1, 12))}
+    for mask in list(masks):
+        if rng.random() < 0.5:
+            masks.add(mask & ((1 << rng.randint(1, mask.bit_length())) - 1) or mask)
+    return list(masks)
+
+
+def test_order_check_matches_the_canonical_sort():
+    rng = seeded(2601)
+    for _ in range(20000):
+        ordered = [a.mask for a in sorted(
+            map(Atom, masks_with_prefixes(rng, rng.randint(1, 70))), key=canonical_key)]
+        cases = [ordered, rng.sample(ordered, len(ordered))]
+        if len(ordered) > 1:
+            k = rng.randrange(len(ordered) - 1)
+            swapped = ordered[:]
+            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+            cases.append(swapped)
+        for case in cases:
+            assert _in_order(case) == (case == ordered)
+            assert canonical_masks(case + case[: rng.randint(0, len(case))]) == tuple(ordered)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -53,7 +53,7 @@ def random_reduced_model(rng, n):
 
 
 def reference_reduce(model):
-    return Model(model.sig, tuple(a for a in model.atoms if not is_redundant(model, a)))
+    return Model(model.sig, tuple(a.mask for a in model.atoms if not is_redundant(model, a)))
 
 
 def test_fused_matches_reference_on_random_reduced_models():
@@ -319,7 +319,7 @@ def test_fused_running_example():
     ]
 
 
-def test_full_crossing_keeps_the_callers_atoms():
+def test_full_crossing_keeps_the_masks_it_does_not_move():
     rng = seeded(2028)
     for _ in range(300):
         n = rng.randint(2, 9)
@@ -327,11 +327,9 @@ def test_full_crossing_keeps_the_callers_atoms():
         r = random_duple(rng, n)
         out = full_crossing(m, r)
         assert valid(out)
-        by_mask = {atom.mask: atom for atom in m.atoms}
         moved = {atom.mask for atom in discriminant(m, r.left, r.right)}
-        kept = [atom for atom in out.atoms if atom.mask in by_mask.keys() - moved]
-        assert len(kept) == len(m.atoms) - len(moved)
-        assert all(atom is by_mask[atom.mask] for atom in kept)
+        unmoved = [mask for mask in m.masks if mask not in moved]
+        assert [mask for mask in out.masks if mask in set(m.masks) - moved] == unmoved
 
 
 def test_fused_signature_mismatch():
@@ -349,7 +347,7 @@ def test_reduce_matches_pairwise_definition_on_random_unreduced_models():
         m = new_model(sig, map(Atom, masks))
         assert reduce(m) == reference_reduce(m)
         # Models built directly may repeat an atom; a copy is no witness.
-        doubled = Model(sig, m.atoms + m.atoms[: rng.randint(0, len(m.atoms))])
+        doubled = Model(sig, m.masks + m.masks[: rng.randint(0, len(m.masks))])
         assert reduce(doubled) == reference_reduce(doubled)
 
 

@@ -73,16 +73,29 @@ def test_new_model_rejects_foreign_masks():
         new_model(sig, [Atom(0b01), Atom(0b11), Atom(0b01), Atom(0b100), Atom(0b1000)])
 
 
-def test_new_model_keeps_the_callers_atoms():
+def test_new_model_dedupes_orders_and_repairs_masks():
     sig = Signature.of("a b c")
     given = [sig.atom("c"), sig.atom("a b"), sig.atom("c")]
     model = new_model(sig, given)
+    assert model.masks == (0b011, 0b100)
     assert model.atoms == (Atom(0b011), Atom(0b100))
-    assert model.atoms[0] is given[1]
-    assert any(model.atoms[1] is atom for atom in (given[0], given[2]))
+    assert [atom.mask for atom in given] == [0b100, 0b011, 0b100]
     with pytest.warns(CoverageRepairWarning):
         repaired = new_model(sig, given[:1])
+    assert repaired.masks == (0b111, 0b100)
     assert repaired.atoms == (Atom(0b111), Atom(0b100))
+
+
+def test_atoms_are_a_view_of_the_masks():
+    rng = seeded(2604)
+    for _ in range(100):
+        m = random_model(rng, "a b c d e")
+        for model in (m, reduce(m), freest_model(m.sig, [random_duple(rng, 5)])):
+            assert model.atoms == tuple(map(Atom, model.masks))
+            shuffled = rng.sample(model.atoms, len(model.atoms))
+            assert new_model(model.sig, shuffled) == model
+            assert hash(new_model(model.sig, shuffled)) == hash(model)
+    assert mk("a b", "a", "b") != mk("b a", "a", "b")
 
 
 def assert_holds_follows_segments(m, t):
@@ -221,7 +234,7 @@ def test_zero_atom_never_changes_theory():
     rng = seeded(13)
     for _ in range(50):
         m = random_model(rng, "a b c d")
-        padded = Model(m.sig, tuple(sorted(
+        padded = Model(m.sig, tuple(a.mask for a in sorted(
             set(m.atoms) | {zero_atom(m.sig)},
             key=lambda a: tuple(a.indices()),
         )))
@@ -297,7 +310,7 @@ def hand_built(rng, n, max_atoms):
     so that the top constants may stay uncovered; sometimes no atoms."""
     top = rng.randint(1, n)
     atoms = [Atom(rng.randrange(1, 1 << top)) for _ in range(rng.randint(0, max_atoms))]
-    return Model(Signature(tuple(f"c{i}" for i in range(n))), tuple(atoms))
+    return Model(Signature(tuple(f"c{i}" for i in range(n))), tuple(a.mask for a in atoms))
 
 
 def test_is_freer_matches_pairwise_definition():
@@ -306,7 +319,7 @@ def test_is_freer_matches_pairwise_definition():
         n = rng.randint(1, 7)
         a, b = hand_built(rng, n, 10), hand_built(rng, n, 6)
         if rng.random() < 0.3:
-            b = Model(b.sig, b.atoms + a.atoms[: rng.randint(0, len(a.atoms))])
+            b = Model(b.sig, b.masks + a.masks[: rng.randint(0, len(a.masks))])
         pairwise = all(
             phi.mask == sum_masks(eta for eta in a.atoms if eta.mask & ~phi.mask == 0)
             for phi in b.atoms

@@ -207,7 +207,7 @@ def test_axiom_check_passes_after_new_model():
 
 def test_axiom_check_flags_uncovered_constant():
     sig = Signature.of("a b c")
-    broken = Model(sig, (Atom(0b001),))
+    broken = Model(sig, (0b001,))
     report = axiom_check(broken)
     assert not report.ok
     assert any(c.name == "constants-covered" for c in report.failures())
@@ -215,6 +215,6 @@ def test_axiom_check_flags_uncovered_constant():
 
 def test_axiom_check_flags_duplicate_atoms():
     sig = Signature.of("a b")
-    broken = Model(sig, (Atom(0b01), Atom(0b01), Atom(0b10)))
+    broken = Model(sig, (0b01, 0b01, 0b10))
     report = axiom_check(broken)
     assert any(c.name == "atoms-distinct" for c in report.failures())

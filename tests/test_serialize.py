@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -6,10 +7,11 @@ from atomlat.algebra import subdirect_decomposition, embed_in_free
 from atomlat.core import Duple, Signature, Term, canonical_key
 from atomlat.crossing import freest_model
 from atomlat.errors import CapExceeded, InvalidConstantName, UnknownTargetConstant
-from atomlat.model import holds
+from atomlat.model import holds, new_model
 from atomlat.serialize import (
     decomposition_to_dict,
     embedding_to_dict,
+    json_text,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -18,7 +20,7 @@ from atomlat.serialize import (
     rename_map_from_json,
 )
 
-from conftest import lower_atomic_segment, mk, random_duple, random_model, seeded
+from conftest import ODD_NAMES, lower_atomic_segment, mk, random_duple, random_model, seeded, valid
 
 
 def test_json_round_trip_on_randoms():
@@ -45,6 +47,27 @@ def test_model_json_is_the_indented_encoder_output():
     assert model_from_json(model_to_json(point)) == point
     bare = mk("a b")  # hand-built, no atoms
     assert model_to_json(bare) == json.dumps(model_to_dict(bare), indent=2) + "\n"
+
+
+TEXT_CHARS = ["a", "Z", "0", " ", "\t", "\n", "\x00", '"', "\\", "/", "é", "日", "\U0001d4b3"]
+
+
+def random_document(rng, depth=0):
+    """Nested dicts with string keys, lists and strings, some of them empty."""
+    kind = rng.random()
+    if depth == 3 or kind < 0.4:
+        return "".join(rng.choices(TEXT_CHARS, k=rng.randint(0, 6)))
+    items = [random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind < 0.7:
+        return items
+    return {"".join(rng.choices(TEXT_CHARS, k=rng.randint(0, 4))): item for item in items}
+
+
+def test_json_text_is_the_indented_encoder_output():
+    rng = seeded(2603)
+    for _ in range(5000):
+        doc = random_document(rng)
+        assert json_text(doc) == json.dumps(doc, indent=2)
 
 
 def test_model_document_is_canonical():
@@ -78,6 +101,52 @@ def test_model_document_rejects_other_shapes():
     ]:
         with pytest.raises(InvalidConstantName):
             model_from_dict({"constants": constants, "atoms": atoms})
+
+
+def read_through_atoms(text):
+    """The document read that builds an ``Atom`` per name list and sorts them."""
+    doc = json.loads(text)
+    sig = Signature(tuple(doc["constants"]))
+    return new_model(sig, map(sig.atom, doc["atoms"]))
+
+
+def outcome(read, text):
+    """The model or the error type and message of ``read(text)``, with the
+    category and message of each warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(text)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_model_from_json_matches_the_atom_path():
+    rng = seeded(2602)
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        names = list(ODD_NAMES[:n])
+        # atoms over the lower constants only, so the top ones may stay uncovered
+        top = n if rng.random() < 0.7 else rng.randint(1, n)
+        atoms = [rng.sample(names[:top], rng.randint(1, top)) for _ in range(rng.randint(0, 2 * n))]
+        atoms += rng.sample(atoms, rng.randint(0, len(atoms)))  # repeated atoms
+        rng.shuffle(atoms)
+        if atoms and rng.random() < 0.2:
+            # an unknown name, non-string names, or an empty name list
+            bad = rng.choice(["zz", 3, None, ["a"], []])
+            if bad == []:
+                atoms.insert(rng.randrange(len(atoms)), bad)
+            else:
+                names_list = rng.choice(atoms)
+                names_list.insert(rng.randrange(len(names_list) + 1), bad)
+        text = json.dumps({"constants": names, "atoms": atoms})
+        got = outcome(model_from_json, text)
+        assert got == outcome(read_through_atoms, text)
+        model = got[0]
+        if not isinstance(model, tuple):
+            assert valid(model)
+            assert model_from_json(model_to_json(model)) == model
 
 
 def test_rename_map_document():
