@@ -159,22 +159,11 @@ class Atom(_ConstantSet):
 
     _empty = "an atom must sit below at least one constant"
 
-    def union(self, other: "Atom") -> "Atom":
-        return Atom(self.mask | other.mask)
-
-    def wider_than(self, other: "Atom") -> bool:
-        """Strictly wider: the other upper segment is a proper subset."""
-        return self.mask != other.mask and other.mask & ~self.mask == 0
-
 
 class Term(_ConstantSet):
     """A term in canonical form: the bitmask of its component constants."""
 
     _empty = "a term must sum at least one constant"
-
-    def join(self, other: "Term") -> "Term":
-        """The idempotent sum of two terms."""
-        return Term(self.mask | other.mask)
 
 
 @dataclass(frozen=True)

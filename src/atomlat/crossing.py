@@ -5,16 +5,15 @@ discriminant) with their unions against every atom below the right-hand term.
 Iterating over a list of duples, starting from the singleton atoms, builds
 the freest model of those sentences. A negative sentence is consistent with
 them exactly when it fails in that model, which is how the deny verdicts of
-:func:`atomlat.script.run_script` are decided. On a reduced model,
-:func:`fused_crossing` yields the reduced result of one such step without
-building the whole union grid. :func:`cross_runs` is the one crossing
-loop: it crosses runs of duples on one chain, one run per ``show`` of a
-script, and :func:`cross_positives` is its one-run case. The reference
-step is :func:`_cross`, in place on a bare set of atom masks:
-:func:`full_crossing` is that step on a model, a ``never`` run folds it
-over one mask set, and the identify step of :mod:`atomlat.algebra` folds
-it over the masks of a construction, so each of them sorts and builds one
-model at its end.
+:func:`atomlat.script.run_script` are decided. :func:`cross_runs` is the
+one crossing loop: it crosses runs of duples on one chain, one run per
+``show`` of a script, and :func:`cross_positives` is its one-run case. On a
+reduced atom set, :func:`_replace` yields the reduced result of one step
+without building the whole union grid. The reference step is
+:func:`_cross`, in place on a bare set of atom masks: :func:`full_crossing`
+is that step on a model, a ``never`` run folds it over one mask set, and
+the identify step of :mod:`atomlat.algebra` folds it over the masks of a
+construction, so each of them sorts and builds one model at its end.
 
 The reduced result of a chain does not depend on the order of its duples:
 it is the unique non-redundant atomization of the freest model, and the
@@ -105,9 +104,12 @@ def _split(index: AtomColumns, left: int, right: int) -> tuple[int, int]:
 def _replace(index: AtomColumns, moved: int, below: int):
     """Replace the atoms at ``moved`` by their unions with the atoms at ``below``, in place.
 
-    Only the unions ``h | b`` of the moved ``h`` with the minimal ``b`` below
-    the right term whose traces ``b & ~h`` are minimal get the column test,
-    against the survivors plus those unions.
+    The live atoms must be reduced; the result is then the reduced result
+    of the reference step. Only the unions ``h | b`` of the moved ``h`` with
+    the minimal ``b`` below the right term whose traces ``b & ~h`` are
+    minimal get the column test, against the survivors plus those unions.
+    The witness argument in :func:`atomlat.model.reduce` says why that is
+    exact.
     """
     minimal = _minimal(index.masks_at(below))
     unions = set()
@@ -122,52 +124,6 @@ def _replace(index: AtomColumns, moved: int, below: int):
         if index.redundant(u):
             redundant |= 1 << position[u]
     index.drop(redundant)
-
-
-def _model_of(sig: Signature, index: AtomColumns) -> Model:
-    """The live atoms of ``index`` as a model, in canonical order."""
-    return Model(sig, canonical_masks(index.masks_at(index.live)))
-
-
-def fused_crossing(model: Model, r: Duple) -> Model:
-    """``reduce(full_crossing(model, r))`` for a reduced ``model``, exactly.
-
-    It is the chain's own step, :func:`_schedule` of the one duple, on a
-    fresh :class:`~atomlat.model.AtomColumns` index. Three facts from the witness
-    argument in :func:`atomlat.model.reduce` let it skip most of the union
-    grid:
-
-    - every atom of a reduced model that the crossing keeps stays
-      non-redundant, so only the new unions ``h | b`` need a check;
-    - only the inclusion-minimal atoms ``b`` below the right term need to be
-      unioned: for b1 ⊊ b2 the atom ``h | b2 = (h | b1) | b2`` is redundant
-      or a duplicate;
-    - for each moved ``h``, only the ``b`` whose trace ``b & ~h`` is
-      inclusion-minimal need to be unioned: when ``b' & ~h ⊊ b & ~h``, the
-      union ``h | b`` is covered by ``h | b'`` and the kept ``b``.
-
-    Dropping a redundant atom before :func:`reduce` changes no other atom's
-    verdict, so the column test needs only the survivors and the unions it
-    keeps. The result covers every constant the model covers: each removed
-    discriminant atom ``h`` is replaced by unions ``h | b ⊇ h``, and a union
-    dropped as redundant is itself a union of atoms that are kept. On a model
-    that is not reduced the result can differ from the reference; use
-    ``reduce(full_crossing(model, r))`` there.
-
-    Below, ``a b c d`` is the union of ``a b`` with ``a c d``, whose trace
-    ``c d`` strictly contains the trace ``c`` of ``b c``, so it is skipped:
-
-    >>> sig = Signature.of("a b c d")
-    >>> m = Model(sig, tuple(map(sig.mask_of_names, ["a b", "a c d", "b c"])))
-    >>> r = Duple(sig.term("a"), sig.term("c"))
-    >>> [atom.label(sig) for atom in full_crossing(m, r).atoms]
-    ['a b c', 'a b c d', 'a c d', 'b c']
-    >>> [atom.label(sig) for atom in fused_crossing(m, r).atoms]
-    ['a b c', 'a c d', 'b c']
-    """
-    _require_in_sig(model.sig, r.left.mask | r.right.mask)
-    index = AtomColumns(model.masks, len(model.sig))
-    return _model_of(model.sig, index) if _schedule(index, [r]) else model
 
 
 def cross_positives(
@@ -235,7 +191,7 @@ def cross_runs(
                 index = AtomColumns(model.masks, len(sig))
                 run = run[1:]
             if _schedule(index, run):
-                model = _model_of(sig, index)
+                model = Model(sig, canonical_masks(index.masks_at(index.live)))
         yield model
 
 

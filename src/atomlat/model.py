@@ -12,6 +12,8 @@ Everything in this module is a pure function of immutable values.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import compress
@@ -191,11 +193,15 @@ def model_of_masks(sig: Signature, masks: list[int]) -> Model:
             f"atom {tuple(bit_indices(mask))} uses constants outside the signature"
         )
     if covered != full:
+        # the warning points at the first caller outside this package
+        frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__)
+        while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
+            frame, level = frame.f_back, level + 1
         uncovered = sig.names_of(full & ~covered)
         warnings.warn(
             f"constants {' '.join(uncovered)} covered by no atom; zero atom inserted",
             CoverageRepairWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
         masks = [*masks, full]
     return Model(sig, canonical_masks(masks))
@@ -354,7 +360,7 @@ def reduce(model: Model) -> Model:
     every redundant atom is a union of non-redundant ones and the kept atoms
     still generate everything that is dropped. It also means that dropping a
     redundant atom early changes no other atom's verdict. Three facts about
-    crossing follow, which :func:`atomlat.crossing.fused_crossing` uses:
+    crossing follow, which :func:`atomlat.crossing._replace` uses:
 
     - crossing a reduced model leaves every atom it does not replace
       non-redundant: a witness ``h | b`` of such an atom can be traded for its

@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from atomlat.algebra import product, restrict, subalgebra, subdirect_decomposition
-from atomlat.core import Duple, Signature
+from atomlat.core import Atom, Duple, Signature
 from atomlat.crossing import freest_model, full_crossing
 from atomlat.model import enumerate_elements, enumerate_theory, new_model, reduce
 from atomlat.oracle import closure_oracle, congruence_oracle
@@ -166,10 +166,10 @@ def test_criterion_07_unique_reduction():
                 if len(m.atoms) >= 2:
                     for _ in range(rng.randint(1, 4)):
                         count = rng.randint(2, min(3, len(m.atoms)))
-                        union = None
-                        for atom in rng.sample(m.atoms, count):
-                            union = atom if union is None else union.union(atom)
-                        padding.append(union)
+                        union = 0
+                        for mask in rng.sample(m.masks, count):
+                            union |= mask
+                        padding.append(Atom(union))
                 padded = new_model(m.sig, list(m.atoms) + padding)
                 assert reduce(padded) == reduce(m)
 

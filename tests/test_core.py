@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from atomlat.core import (
     Atom,
@@ -24,8 +23,6 @@ from atomlat.errors import (
 from conftest import ODD_NAMES, seeded
 
 ABCDE = Signature.of("a b c d e")
-
-masks = st.integers(min_value=1, max_value=(1 << 5) - 1)
 
 
 def test_signature_round_trips_names():
@@ -86,22 +83,6 @@ def test_atom_accessors():
     assert phi.indices() == (1, 2)
     assert phi.names(ABCDE) == ("b", "c")
     assert len(phi) == 2
-
-
-def test_term_join_is_componentwise_union():
-    t = ABCDE.term("a b").join(ABCDE.term("b d"))
-    assert t == ABCDE.term("a b d")
-
-
-def test_atom_union_golden():
-    assert ABCDE.atom("a b").union(ABCDE.atom("b c")) == ABCDE.atom("a b c")
-    assert ABCDE.atom("a").union(ABCDE.atom("a")) == ABCDE.atom("a")
-
-
-def test_is_wider_golden():
-    assert ABCDE.atom("a b c").wider_than(ABCDE.atom("a c"))
-    assert not ABCDE.atom("a c").wider_than(ABCDE.atom("a c"))
-    assert not ABCDE.atom("a b").wider_than(ABCDE.atom("c"))
 
 
 def test_zero_atom_spans_signature():
@@ -169,41 +150,3 @@ def test_pinning_rejects_zero_atom():
         pinning(zero_atom(ABCDE), ABCDE)
     with pytest.raises(SignatureMismatch):
         pinning(Atom(0b100), Signature.of("a b"))
-
-
-@given(masks, masks)
-def test_union_is_commutative(x, y):
-    assert Atom(x).union(Atom(y)) == Atom(y).union(Atom(x))
-
-
-@given(masks, masks, masks)
-def test_union_is_associative(x, y, z):
-    a, b, c = Atom(x), Atom(y), Atom(z)
-    assert a.union(b).union(c) == a.union(b.union(c))
-
-
-@given(masks)
-def test_union_is_idempotent(x):
-    assert Atom(x).union(Atom(x)) == Atom(x)
-
-
-@given(masks, masks)
-def test_wider_is_strict(x, y):
-    a, b = Atom(x), Atom(y)
-    if a.wider_than(b):
-        assert not b.wider_than(a)
-        assert a != b
-
-
-@given(masks, masks, masks)
-def test_wider_is_transitive(x, y, z):
-    a, b, c = Atom(x), Atom(y), Atom(z)
-    if a.wider_than(b) and b.wider_than(c):
-        assert a.wider_than(c)
-
-
-@given(masks, masks)
-def test_wider_or_equal_means_union_absorbs(x, y):
-    a, b = Atom(x), Atom(y)
-    absorbs = a.union(b) == a
-    assert absorbs == (a == b or a.wider_than(b))

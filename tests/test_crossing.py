@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from atomlat.core import Duple, Signature
+from atomlat.core import Atom, Duple, Signature
 from atomlat.crossing import (
     REDUCE_POLICIES,
     freest_model,
@@ -129,8 +129,8 @@ def test_crossing_on_padded_atomization_same_theory():
     for _ in range(40):
         m = random_model(rng, "a b c d")
         padded = new_model(m.sig, list(m.atoms) + [
-            m.atoms[0].union(m.atoms[-1]),
-            m.atoms[len(m.atoms) // 2].union(m.atoms[0]),
+            Atom(m.masks[0] | m.masks[-1]),
+            Atom(m.masks[len(m.masks) // 2] | m.masks[0]),
         ])
         r = random_duple(rng, 4)
         assert enumerate_theory(full_crossing(m, r)) == enumerate_theory(

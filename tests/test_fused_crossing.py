@@ -1,7 +1,9 @@
 """Seeded differential tests of the fast paths against their references.
 
-- ``fused_crossing`` against ``reduce(full_crossing(m, r))`` on reduced models,
-  and on the duples with one atom below the right term, which add no atom;
+- the chain's scheduled step, which fuses crossing and reduction (the
+  ``fused`` tests), against ``reduce(full_crossing(m, r))`` on reduced
+  models, and on the duples with one atom below the right term, which add no
+  atom;
 - the unions it skips for a non-minimal trace against ``is_redundant`` on the
   whole union grid;
 - the live ``AtomColumns`` of a chain against a fresh index of its atoms;
@@ -20,13 +22,7 @@ import pytest
 
 from atomlat import crossing
 from atomlat.core import Atom, Duple, Signature, Term
-from atomlat.crossing import (
-    cross_positives,
-    cross_runs,
-    freest_model,
-    full_crossing,
-    fused_crossing,
-)
+from atomlat.crossing import cross_positives, cross_runs, freest_model, full_crossing
 from atomlat.errors import SignatureMismatch
 from atomlat.model import AtomColumns, Model, holds, is_redundant, new_model, reduce
 from atomlat.script import Assertion, ShowDirective, parse_script, run_script
@@ -52,6 +48,17 @@ def random_reduced_model(rng, n):
     return reduce(new_model(sig, map(Atom, covered_masks(rng, n, rng.randint(1, 3 * n)))))
 
 
+def scheduled_step(m, r):
+    """The chain's scheduled step of ``r`` on a reduced ``m``.
+
+    The first run's duple holds in every model, so the chain's first step
+    hands ``m`` itself to the live index, and the second run crosses ``r``
+    there; ``m`` comes back when ``r`` holds.
+    """
+    *_, last = cross_runs(m, [[Duple(r.right, r.right)], [r]])
+    return last
+
+
 def reference_reduce(model):
     return Model(model.sig, tuple(a.mask for a in model.atoms if not is_redundant(model, a)))
 
@@ -64,10 +71,10 @@ def test_fused_matches_reference_on_random_reduced_models():
         m = random_reduced_model(rng, n)
         if rng.random() < 0.3:
             left = random_term(rng, n)
-            r = Duple(left, left.join(random_term(rng, n)))
+            r = Duple(left, Term(left.mask | random_term(rng, n).mask))
         else:
             r = random_duple(rng, n)
-        fused, full = fused_crossing(m, r), full_crossing(m, r)
+        fused, full = scheduled_step(m, r), full_crossing(m, r)
         assert valid(fused) and valid(full)
         assert fused == reduce(full)
         if holds(m, r):
@@ -86,7 +93,7 @@ def test_fused_matches_reference_along_freest_builds():
             r = random_duple(rng, n)
             full = full_crossing(m, r)
             expected = reduce(full)
-            fused = fused_crossing(m, r)
+            fused = scheduled_step(m, r)
             assert valid(full) and valid(fused)
             assert fused == expected
             m = expected
@@ -105,7 +112,7 @@ def test_one_atom_below_adds_no_atom():
         if len(lower_atomic_segment(m, r.right)) != 1 or holds(m, r):
             continue
         one_below += 1
-        fused = fused_crossing(m, r)
+        fused = scheduled_step(m, r)
         assert len(fused.atoms) <= len(m.atoms)
         assert fused == reduce(full_crossing(m, r))
     assert one_below >= 400
@@ -177,7 +184,7 @@ def random_chain(rng, n, steps):
         roll = rng.random()
         if roll < 0.15:
             left = random_term(rng, n)
-            duples.append(Duple(left, left.join(random_term(rng, n))))
+            duples.append(Duple(left, Term(left.mask | random_term(rng, n).mask)))
         elif roll < 0.3 and duples:
             duples.append(rng.choice(duples))
         else:
@@ -314,8 +321,22 @@ def test_fused_running_example():
     sig = Signature.of("a b c d e")
     m = reduce(new_model(sig, map(sig.atom, ("a", "a b", "c d e", "b e", "c", "d"))))
     r = Duple(sig.term("b"), sig.term("a d"))
-    assert [a.label(sig) for a in fused_crossing(m, r).atoms] == [
+    assert [a.label(sig) for a in scheduled_step(m, r).atoms] == [
         "a", "a b", "a b e", "b d e", "c", "c d e", "d",
+    ]
+
+
+def test_fused_skips_the_union_of_a_non_minimal_trace():
+    # a b c d is the union of a b with a c d, whose trace c d strictly
+    # contains the trace c of b c, so the scheduled step skips it
+    sig = Signature.of("a b c d")
+    m = Model(sig, tuple(map(sig.mask_of_names, ["a b", "a c d", "b c"])))
+    r = Duple(sig.term("a"), sig.term("c"))
+    assert [atom.label(sig) for atom in full_crossing(m, r).atoms] == [
+        "a b c", "a b c d", "a c d", "b c",
+    ]
+    assert [atom.label(sig) for atom in scheduled_step(m, r).atoms] == [
+        "a b c", "a c d", "b c",
     ]
 
 
@@ -335,7 +356,7 @@ def test_full_crossing_keeps_the_masks_it_does_not_move():
 def test_fused_signature_mismatch():
     m = freest_model(Signature.of("a b"))
     with pytest.raises(SignatureMismatch):
-        fused_crossing(m, Duple(Term(0b100), Term(0b1)))
+        scheduled_step(m, Duple(Term(0b100), Term(0b1)))
 
 
 def test_reduce_matches_pairwise_definition_on_random_unreduced_models():

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from atomlat.algebra import RenameMap, map_atoms, rename
 from atomlat.core import Atom, Duple, Signature, Term, pinning, zero_atom
 from atomlat.errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 from atomlat.model import (
@@ -21,6 +22,7 @@ from atomlat.model import (
 
 from atomlat.crossing import freest_model
 from atomlat.script import format_duple, parse_script, run_script
+from atomlat.serialize import model_from_json
 
 from conftest import (
     discriminant,
@@ -61,6 +63,24 @@ def test_new_model_empty_atom_set_gets_zero_atom():
     with pytest.warns(CoverageRepairWarning):
         m = new_model(sig, [])
     assert atom_names(m) == {("a", "b", "c")}
+
+
+def test_coverage_repair_warning_points_at_the_caller():
+    # every entry point that can repair coverage reports the caller's line,
+    # not a line inside the package
+    sig = Signature.of("a b")
+    model = mk("a b", "a", "b")
+    entry_points = {
+        "new_model": lambda: new_model(sig, [sig.atom("a")]),
+        "model_from_json": lambda: model_from_json('{"constants": ["a", "b"], "atoms": [["a"]]}'),
+        "map_atoms": lambda: map_atoms(model, [0b1, 0b0], sig),
+        "rename": lambda: rename(model, RenameMap.of({"a": ["a"], "b": []}, "a b")),
+        "run_script": lambda: run_script(parse_script("constants a b\natom a\n")),
+    }
+    for name, call in entry_points.items():
+        with pytest.warns(CoverageRepairWarning) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__], name
 
 
 def test_new_model_rejects_foreign_masks():
