@@ -1,11 +1,11 @@
 """Structural constructions over atomized models.
 
-Everything here is atom images plus one identify step. The atom image
-:func:`map_atoms` sends each source constant to a set of target constants,
-possibly empty, and applies that to every atom's upper segment. The identify
-step forces pairs of terms equal by the reference crossing step
-:func:`atomlat.crossing._cross` in both directions, in place on a set of
-bare atom masks and without reduction, so a construction builds one sorted
+Everything here is atom images plus the reference crossing fold. The atom
+image :func:`map_atoms` sends each source constant to a set of target
+constants, possibly empty, and applies that to every atom's upper segment.
+Two terms are identified by crossing both directions, ``s <= t`` then
+``t <= s``, in one :func:`atomlat.crossing._cross` over a set of bare atom
+masks, in place and without reduction, so a construction builds one sorted
 model at its end. Renaming is an atom image, and restriction its special
 case that keeps some constants in order, which copies the kept bits of each
 mask a run of neighbouring constants at a time. A quotient identifies two
@@ -147,16 +147,6 @@ def _restrict(target: Signature, masks: Iterable[int], keep: int) -> Model:
     return model_of_masks(target, list(images))
 
 
-def _identify(masks: set[int], pairs: Iterable[tuple[int, int]]) -> bool:
-    """Force each pair of term masks equal, in place: cross ``s <= t``, then
-    ``t <= s``, in order. Returns whether any mask moved."""
-    moved = False
-    for s, t in pairs:
-        moved |= _cross(masks, s, t)
-        moved |= _cross(masks, t, s)
-    return moved
-
-
 def quotient(model: Model, a: Term, b: Term) -> Model:
     """The quotient by the principal congruence identifying two terms.
 
@@ -165,7 +155,7 @@ def quotient(model: Model, a: Term, b: Term) -> Model:
     """
     _require_in_sig(model.sig, a.mask | b.mask)
     masks = set(model.masks)
-    if not _identify(masks, [(b.mask, a.mask)]):
+    if not _cross(masks, [(b.mask, a.mask), (a.mask, b.mask)]):
         return model
     return Model(model.sig, canonical_masks(masks))
 
@@ -183,7 +173,8 @@ def join(m: Model, n: Model) -> Model:
     for j, name in enumerate(n.sig.names):
         copy = 1 << (offset + j)
         if name in m.sig:
-            pairs.append((copy, 1 << m.sig.index_of(name)))
+            bit = 1 << m.sig.index_of(name)
+            pairs += [(copy, bit), (bit, copy)]
         else:
             names.append(name)
             keep |= copy
@@ -196,7 +187,7 @@ def join(m: Model, n: Model) -> Model:
         return Model(target, (*m.masks, *shifted))
     masks = set(m.masks)
     masks.update(shifted)
-    _identify(masks, pairs)
+    _cross(masks, pairs)
     return _restrict(target, masks, keep)
 
 
@@ -244,7 +235,8 @@ def subalgebra(
     fresh = [1 << (offset + i) for i in range(len(names))]
     masks = set(model.masks)
     masks.update(fresh)
-    _identify(masks, [(term.mask, bit) for term, bit in zip(generators, fresh)])
+    _cross(masks, [pair for term, bit in zip(generators, fresh)
+                   for pair in ((term.mask, bit), (bit, term.mask))])
     return _restrict(Signature(names), masks, sum(fresh))
 
 

@@ -32,7 +32,6 @@ from .script import (
     format_duple,
     parse_duple_text,
     parse_script,
-    parse_term_text,
     run_script,
 )
 from .serialize import (
@@ -130,8 +129,7 @@ def _cmd_rename(args) -> int:
 
 def _cmd_quotient(args) -> int:
     model = _load_model(args.file)
-    left = parse_term_text(model.sig, args.left)
-    right = parse_term_text(model.sig, args.right)
+    left, right = model.sig.term(args.left), model.sig.term(args.right)
     return _emit_model(args, quotient(model, left, right))
 
 
@@ -149,7 +147,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_subalgebra(args) -> int:
     model = _load_model(args.file)
-    generators = [parse_term_text(model.sig, text) for text in args.gen]
+    generators = [model.sig.term(text) for text in args.gen]
     return _emit_model(args, subalgebra(model, generators, args.names))
 
 

@@ -202,23 +202,20 @@ def pinning(phi: Atom, sig: Signature) -> tuple[Term, tuple[Duple, ...]]:
 _KEY_DIGITS = str.maketrans("01", "10")
 
 
-def canonical_key(value: Atom | Term) -> str:
-    """Sort key for the canonical order: lexicographic on sorted index lists.
+def canonical_key(mask: int) -> str:
+    """Sort key of a mask for the canonical order: lexicographic on sorted index lists.
 
     The key spells the bits from index 0 up to the highest set one, a set bit
-    as ``0`` and a clear one as ``1``. Where two keys first differ, the value
+    as ``0`` and a clear one as ``1``. Where two keys first differ, the mask
     with the bit set has the smaller next index, and a key that ends first
     belongs to a prefix of the other index list, so string order is the
     index-list order without building the lists.
 
     >>> sig = Signature.of("a b c")
-    >>> [a.label(sig) for a in sorted(map(sig.atom, ["c", "a b c", "b", "a"]), key=canonical_key)]
+    >>> atoms = map(sig.atom, ["c", "a b c", "b", "a"])
+    >>> [a.label(sig) for a in sorted(atoms, key=lambda a: canonical_key(a.mask))]
     ['a', 'a b c', 'b', 'c']
     """
-    return _mask_key(value.mask)
-
-
-def _mask_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_KEY_DIGITS)
 
 
@@ -235,7 +232,7 @@ def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """
     out = list(dict.fromkeys(masks))
     if not _in_order(out):
-        out.sort(key=_mask_key)
+        out.sort(key=canonical_key)
     return tuple(out)
 
 
@@ -266,7 +263,7 @@ def canonical_terms(sig: Signature) -> Iterator[tuple[int, str]]:
     >>> sig = Signature.of("a b c")
     >>> list(canonical_terms(sig))
     [(1, 'a'), (3, 'a b'), (7, 'a b c'), (5, 'a c'), (2, 'b'), (6, 'b c'), (4, 'c')]
-    >>> _ == [(t.mask, t.label(sig)) for t in sorted(map(Term, range(1, 8)), key=canonical_key)]
+    >>> _ == [(mask, Term(mask).label(sig)) for mask in sorted(range(1, 8), key=canonical_key)]
     True
     """
     walk: list[tuple[int, str]] = []

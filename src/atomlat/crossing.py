@@ -9,11 +9,13 @@ them exactly when it fails in that model, which is how the deny verdicts of
 one crossing loop: it crosses runs of duples on one chain, one run per
 ``show`` of a script, and :func:`cross_positives` is its one-run case. On a
 reduced atom set, :func:`_replace` yields the reduced result of one step
-without building the whole union grid. The reference step is
-:func:`_cross`, in place on a bare set of atom masks: :func:`full_crossing`
-is that step on a model, a ``never`` run folds it over one mask set, and
-the identify step of :mod:`atomlat.algebra` folds it over the masks of a
-construction, so each of them sorts and builds one model at its end.
+without building the whole union grid. The reference step is the one
+fold :func:`_cross`, which crosses a sequence of ``(left, right)`` mask
+pairs in place into a bare set of atom masks: :func:`full_crossing` passes
+it one pair, a ``never`` run its run, and the quotient, the join and the
+crossing route of the subalgebra in :mod:`atomlat.algebra` both directions
+of each pair of terms they identify, so each of them sorts and builds one
+model at its end.
 
 The reduced result of a chain does not depend on the order of its duples:
 it is the unique non-redundant atomization of the freest model, and the
@@ -49,38 +51,41 @@ def full_crossing(model: Model, r: Duple) -> Model:
     left, right = r.left.mask, r.right.mask
     _require_in_sig(model.sig, left | right)
     masks = set(model.masks)
-    return Model(model.sig, canonical_masks(masks)) if _cross(masks, left, right) else model
+    return Model(model.sig, canonical_masks(masks)) if _cross(masks, [(left, right)]) else model
 
 
-def _cross(masks: set[int], left: int, right: int) -> bool:
-    """Cross ``left <= right`` into a set of atom masks, in place; return whether any moved.
+def _cross(masks: set[int], pairs: Iterable[tuple[int, int]]) -> bool:
+    """Cross each ``(left, right)`` of ``pairs`` as ``left <= right`` into a set of atom masks.
 
-    The masks that meet ``left`` but not ``right`` (the discriminant) are
-    removed, and their unions ``h | b`` with every mask ``b`` that meets
-    ``right`` are added. Nothing is checked or reduced, so the terms must lie
-    inside the signature of the masks.
+    In place and in the given order; returns whether any mask moved. For
+    each pair, the masks that meet ``left`` but not ``right`` (the
+    discriminant) are removed, and their unions ``h | b`` with every mask
+    ``b`` that meets ``right`` are added. Nothing is checked or reduced, so
+    the terms must lie inside the signature of the masks.
 
     >>> sig = Signature.of("a b c d e")
     >>> masks = {sig.mask_of_names(x) for x in ("a", "a b", "c d e", "b e", "c", "d")}
     >>> b, a_d = sig.mask_of_names("b"), sig.mask_of_names("a d")
-    >>> _cross(masks, b, a_d)
+    >>> _cross(masks, [(b, a_d)])
     True
     >>> sorted(" ".join(sig.names_of(mask)) for mask in masks)
     ['a', 'a b', 'a b e', 'b c d e', 'b d e', 'c', 'c d e', 'd']
-    >>> _cross(masks, b, a_d)
+    >>> _cross(masks, [(b, a_d)])
     False
     """
-    moved, below = [], []
-    for mask in masks:
-        if mask & right:
-            below.append(mask)
-        elif mask & left:
-            moved.append(mask)
-    if not moved:
-        return False
-    masks.difference_update(moved)
-    masks.update({h | b for h in moved for b in below})
-    return True
+    changed = False
+    for left, right in pairs:
+        moved, below = [], []
+        for mask in masks:
+            if mask & right:
+                below.append(mask)
+            elif mask & left:
+                moved.append(mask)
+        if moved:
+            masks.difference_update(moved)
+            masks.update({h | b for h in moved for b in below})
+            changed = True
+    return changed
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:
@@ -164,9 +169,9 @@ def cross_runs(
     duple is crossed by :func:`_schedule` on one live
     :class:`~atomlat.model.AtomColumns` index that the chain keeps across
     the runs, and a sorted model is built only at the end of a run that
-    changed the atoms. Under ``never`` each run folds :func:`_cross` over
-    one mask set, in the given order, and a sorted model is built only when
-    the run changed it.
+    changed the atoms. Under ``never`` each run is one :func:`_cross` of
+    its duples, in the given order, over one mask set, and a sorted model
+    is built only when the run changed it.
     """
     if reduce_policy not in REDUCE_POLICIES:
         raise ValueError(f"reduce_policy must be one of {REDUCE_POLICIES}")
@@ -179,10 +184,7 @@ def cross_runs(
     for run in runs:
         if reduce_policy == "never":
             masks = set(model.masks)
-            changed = False
-            for r in run:
-                changed |= _cross(masks, r.left.mask, r.right.mask)
-            if changed:
+            if _cross(masks, [(r.left.mask, r.right.mask) for r in run]):
                 model = Model(sig, canonical_masks(masks))
         elif run:
             run = sorted(run, key=_growth)

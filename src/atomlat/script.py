@@ -13,6 +13,11 @@ Without any ``atom`` line the model starts from the singleton atoms (the
 free model); with at least one, it starts from exactly the declared atoms.
 ``atom`` lines must precede all sentences and ``show`` directives.
 
+The names of an ``atom`` line and of each side of a sentence are read by
+:meth:`Signature.atom` and :meth:`Signature.term`, as model documents, CLI
+term arguments and library calls read them, so a script fails on the same
+input with the same message, after its line number.
+
 >>> script = parse_script("constants a b\\nassert a <= b")
 >>> [d.left.names(script.sig) for d in script.positives()]
 [('a',)]
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Atom, Duple, Signature, Term, canonical_terms
+from .core import Atom, Duple, Signature, canonical_terms
 from .errors import (
     DuplicateConstant,
     InvalidConstantName,
@@ -87,33 +92,20 @@ class Script:
         return tuple([s.duple for s in self.statements if isinstance(s, Assertion)])
 
 
-def _term_from_tokens(sig: Signature, line: int | None, tokens: list[str]) -> Term:
-    if not tokens:
-        if line is None:
-            raise ValueError("empty term")
-        raise ParseError(line, "empty term")
-    try:
-        return Term(sig.mask_of_names(tokens))
-    except UnknownConstant as exc:
-        if line is None:
-            raise
-        raise UndeclaredConstant(line, exc.name) from None
-
-
-def _duple_from_tokens(sig: Signature, line: int | None, tokens: list[str]) -> Duple:
+def _duple(sig: Signature, tokens: list[str]) -> Duple:
+    """The duple ``left <= right`` of the tokens; each side is read by :meth:`Signature.term`."""
     if tokens.count("<=") != 1:
-        message = "expected exactly one '<=' between two terms"
-        if line is None:
-            raise ValueError(message)
-        raise ParseError(line, message)
+        raise ValueError("expected exactly one '<=' between two terms")
     split = tokens.index("<=")
-    left = _term_from_tokens(sig, line, tokens[:split])
-    right = _term_from_tokens(sig, line, tokens[split + 1 :])
-    return Duple(left, right)
+    return Duple(sig.term(tokens[:split]), sig.term(tokens[split + 1 :]))
 
 
 def parse_script(text: str) -> Script:
-    """Parse a script; errors carry the 1-based line number."""
+    """Parse a script; errors carry the 1-based line number.
+
+    An unknown name raises :class:`UndeclaredConstant`, any other error in a
+    statement :class:`ParseError`.
+    """
     names: list[str] = []
     sig: Signature | None = None
     statements: list[Statement] = []
@@ -123,50 +115,45 @@ def parse_script(text: str) -> Script:
         if not line:
             continue
         keyword, *rest = line.split()
-        if keyword == "constants":
-            if statements:
-                raise ParseError(lineno, "constants must be declared before any statement")
-            if not rest:
-                raise ParseError(lineno, "constants line needs at least one name")
-            names += rest
-            try:
+        try:
+            if keyword == "constants":
+                if statements:
+                    raise ValueError("constants must be declared before any statement")
+                if not rest:
+                    raise ValueError("constants line needs at least one name")
+                names += rest
                 sig = Signature(tuple(names))
-            except (InvalidConstantName, DuplicateConstant) as exc:
-                raise ParseError(lineno, str(exc)) from None
-            continue
-        if sig is None:
-            raise ParseError(lineno, "constants must be declared first")
-        if keyword == "atom":
-            if sentences_started:
-                raise ParseError(lineno, "atom declarations must precede sentences and shows")
-            term = _term_from_tokens(sig, lineno, rest)
-            statements.append(AtomDecl(lineno, Atom(term.mask)))
-        elif keyword == "assert":
-            sentences_started = True
-            statements.append(Assertion(lineno, _duple_from_tokens(sig, lineno, rest)))
-        elif keyword == "deny":
-            sentences_started = True
-            statements.append(Denial(lineno, _duple_from_tokens(sig, lineno, rest)))
-        elif keyword == "show":
-            sentences_started = True
-            if len(rest) != 1 or rest[0] not in SHOW_SECTIONS:
-                raise ParseError(lineno, "show needs one of: atoms, elements, theory")
-            statements.append(ShowDirective(lineno, rest[0]))
-        else:
-            raise ParseError(lineno, f"unknown keyword {keyword!r}")
+            elif sig is None:
+                raise ValueError("constants must be declared first")
+            elif keyword == "atom":
+                if sentences_started:
+                    raise ValueError("atom declarations must precede sentences and shows")
+                statements.append(AtomDecl(lineno, sig.atom(rest)))
+            elif keyword == "assert":
+                sentences_started = True
+                statements.append(Assertion(lineno, _duple(sig, rest)))
+            elif keyword == "deny":
+                sentences_started = True
+                statements.append(Denial(lineno, _duple(sig, rest)))
+            elif keyword == "show":
+                sentences_started = True
+                if len(rest) != 1 or rest[0] not in SHOW_SECTIONS:
+                    raise ValueError("show needs one of: atoms, elements, theory")
+                statements.append(ShowDirective(lineno, rest[0]))
+            else:
+                raise ValueError(f"unknown keyword {keyword!r}")
+        except UnknownConstant as exc:
+            raise UndeclaredConstant(lineno, exc.name) from None
+        except (ValueError, InvalidConstantName, DuplicateConstant) as exc:
+            raise ParseError(lineno, str(exc)) from None
     if sig is None:
         raise ParseError(1, "script declares no constants")
     return Script(sig, tuple(statements))
 
 
-def parse_term_text(sig: Signature, text: str) -> Term:
-    """Parse a free-standing term argument like ``"a d"``."""
-    return _term_from_tokens(sig, None, text.split())
-
-
 def parse_duple_text(sig: Signature, text: str) -> Duple:
     """Parse a free-standing duple argument like ``"b <= a d"``."""
-    return _duple_from_tokens(sig, None, text.split())
+    return _duple(sig, text.split())
 
 
 def format_duple(sig: Signature, duple: Duple) -> str:

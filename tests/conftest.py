@@ -26,7 +26,7 @@ def sig_of(names):
 def mk(names, *atom_texts):
     """Build a model from space-separated constant names for each atom."""
     sig = Signature.of(names)
-    atoms = sorted((sig.atom(text) for text in atom_texts), key=canonical_key)
+    atoms = sorted((sig.atom(text) for text in atom_texts), key=lambda a: canonical_key(a.mask))
     return Model(sig, tuple(atom.mask for atom in atoms))
 
 
@@ -62,7 +62,7 @@ def random_model(rng, names, max_atoms=6, ensure_singleton=False):
         covered |= mask
     if covered != full:
         masks.add(full)
-    atoms = sorted((Atom(mask) for mask in masks), key=canonical_key)
+    atoms = sorted((Atom(mask) for mask in masks), key=lambda a: canonical_key(a.mask))
     return Model(sig, tuple(atom.mask for atom in atoms))
 
 
@@ -87,9 +87,9 @@ def elements_by_segments(model):
         union = 0
         for m in members:
             union |= m
-        terms = tuple(sorted((Term(m) for m in members), key=canonical_key))
+        terms = tuple(sorted((Term(m) for m in members), key=lambda t: canonical_key(t.mask)))
         classes.append(ElementClass(Term(union), terms))
-    classes.sort(key=lambda c: canonical_key(c.representative))
+    classes.sort(key=lambda c: canonical_key(c.representative.mask))
     return tuple(classes)
 
 
@@ -102,7 +102,7 @@ def check_report(text, oracle=False):
     sig = script.sig
     model = new_model(sig, script.atoms() or (Atom(1 << i) for i in range(len(sig))))
     terms = [(t, t.label(sig)) for t in sorted(map(Term, range(1, sig.full_mask + 1)),
-                                                key=canonical_key)]
+                                                key=lambda t: canonical_key(t.mask))]
     lines = []
     for statement in script.statements:
         if isinstance(statement, Assertion):
@@ -203,7 +203,8 @@ def deductive_closure(sig, positives):
 def valid(model):
     """Whether the atoms are what ``new_model`` would make of them: inside
     the signature, distinct, covering and in canonical order."""
-    return axiom_check(model).ok and list(model.atoms) == sorted(model.atoms, key=canonical_key)
+    in_order = sorted(model.atoms, key=lambda a: canonical_key(a.mask))
+    return axiom_check(model).ok and list(model.atoms) == in_order
 
 
 def seeded(seed):

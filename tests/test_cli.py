@@ -1,11 +1,15 @@
+import argparse
 import gc
 import json
+import pathlib
+import shlex
 
 import pytest
 
 import atomlat.cli
 from atomlat.cli import _build_parser, main
 from atomlat.core import Signature
+from atomlat.errors import UnknownConstant
 from atomlat.oracle import closure_oracle
 from atomlat.script import format_duple, parse_script, run_script
 
@@ -389,10 +393,21 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "q" in err
 
 
-def test_unknown_constant_in_query_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("term", ["q", ""], ids=["unknown", "empty"])
+@pytest.mark.parametrize("argv", [
+    lambda m, term: ["query", m, f"{term} <= a"],
+    lambda m, term: ["quotient", m, "a", term],
+    lambda m, term: ["subalgebra", m, "--gen", "a", term, "--names", "g1", "g2"],
+], ids=["query", "quotient", "subalgebra"])
+def test_unknown_constant_in_query_exits_two(tmp_path, capsys, argv, term):
+    # a term argument is read by Signature.term, so the one error line is
+    # the library's message
+    sig = Signature.of(json.loads(JOIN_M)["constants"])
+    with pytest.raises((UnknownConstant, ValueError)) as info:
+        sig.term(term)
     m = write(tmp_path, "m.json", JOIN_M)
-    assert main(["query", m, "q <= a"]) == 2
-    assert "q" in capsys.readouterr().err
+    assert main(argv(m, term)) == 2
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
 
 
 @pytest.mark.parametrize("doc", [
@@ -505,3 +520,26 @@ def test_cli_jobs_leave_no_cyclic_garbage(tmp_path, capsys):
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(text):
+    """The ``atomlat <command>`` lines of README's "Commands" block, as words."""
+    block = text.split("Commands (`atomlat <command> --help` for flags):", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("atomlat ")]
+
+
+def test_readme_commands_and_flags_exist_in_the_parser():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    lines = readme_commands(README.read_text(encoding="utf-8"))
+    assert {words[1] for words in lines} == set(commands.choices)
+    for _, command, *rest in lines:
+        options = commands.choices[command]._option_string_actions
+        flags = [word.strip("[]") for word in rest]
+        unknown = [flag for flag in flags if flag[:1] == "-" != flag and flag not in options]
+        assert unknown == [], command

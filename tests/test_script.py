@@ -14,7 +14,6 @@ from atomlat.script import (
     format_duple,
     parse_duple_text,
     parse_script,
-    parse_term_text,
     run_script,
 )
 from atomlat.model import enumerate_theory, new_model
@@ -157,7 +156,7 @@ def test_every_input_path_resolves_names_alike():
             for name in names:
                 mask |= 1 << sig.names.index(name)
             assert sig.mask_of_names(text) == sig.mask_of_names(names) == mask
-            assert sig.term(text) == sig.term(names) == parse_term_text(sig, text) == Term(mask)
+            assert sig.term(text) == sig.term(names) == Term(mask)
             assert sig.atom(text) == sig.atom(names) == Atom(mask)
             parsed = parse_script(script)
             assert parsed.atoms() == (Atom(mask),)
@@ -170,7 +169,7 @@ def test_every_input_path_resolves_names_alike():
             lambda: sig.mask_of_names(names),
             lambda: sig.term(names),
             lambda: sig.atom(text),
-            lambda: parse_term_text(sig, text),
+            lambda: sig.term(text),
             lambda: model_from_dict(doc),
         ]:
             with pytest.raises(UnknownConstant) as info:
@@ -180,6 +179,31 @@ def test_every_input_path_resolves_names_alike():
             parse_script(script)
         assert (info.value.line, info.value.name) == (2, unknown)
     assert agreed > 50 and failed > 50
+    # the empty name list fails every path with the error of the empty term
+    # or atom; a script gives it as a ParseError after its line number
+    term_message = "a term must sum at least one constant"
+    atom_message = "an atom must sit below at least one constant"
+    header = f"constants {' '.join(sig.names)}\n"
+    for message, calls, statements in [
+        (term_message, [
+            lambda: sig.term([]),
+            lambda: sig.term(" "),
+            lambda: parse_duple_text(sig, "<= a"),
+            lambda: parse_duple_text(sig, "a <="),
+        ], ["assert <= a", "assert a <=", "deny  <= a"]),
+        (atom_message, [
+            lambda: sig.atom([]),
+            lambda: model_from_dict({"constants": list(sig.names), "atoms": [[], ["a"]]}),
+        ], ["atom", "atom  # no names"]),
+    ]:
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (ValueError, message)
+        for statement in statements:
+            with pytest.raises(ParseError) as info:
+                parse_script(header + "atom a\n" + statement + "\n")
+            assert (type(info.value), str(info.value)) == (ParseError, "line 3: " + message)
 
 
 def test_malformed_sentence_reports_line():
@@ -212,12 +236,12 @@ def test_duplicate_constants_rejected_with_line():
 
 def test_parse_term_and_duple_text():
     sig = Signature.of("a b c")
-    assert parse_term_text(sig, "a  c") == sig.term("a c")
+    assert sig.term("a  c") == sig.term("a c")
     d = parse_duple_text(sig, "a <= b c")
     assert d.left == sig.term("a")
     assert d.right == sig.term("b c")
     with pytest.raises(UnknownConstant):
-        parse_term_text(sig, "q")
+        sig.term("q")
     with pytest.raises(ValueError):
         parse_duple_text(sig, "a b")
 

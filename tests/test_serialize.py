@@ -238,7 +238,7 @@ def test_dot_is_the_hasse_diagram_of_holds():
         groups = {}
         for s in terms:
             groups[up[s]] = groups.get(up[s], 0) | s.mask
-        nodes = sorted((Term(rep) for rep in groups.values()), key=canonical_key)
+        nodes = sorted((Term(rep) for rep in groups.values()), key=lambda t: canonical_key(t.mask))
         label = {node: node.label(m.sig) for node in nodes}
         expected_nodes = [
             f'  "{label[node]}" [atoms="'
