@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Atom, Signature, Term, bit_indices, canonical_masks, mask_of, zero_atom
+from .core import Atom, Signature, Term, bit_indices, canonical_masks, zero_atom
 from .errors import (
     EmptyRestrictionSet,
     InvalidConstantName,
@@ -35,9 +35,9 @@ from .errors import (
 )
 from .crossing import _cross
 from .model import (
-    AtomColumns,
     Model,
     _require_in_sig,
+    _transpose,
     is_redundant,
     model_of_masks,
     reduce,
@@ -263,7 +263,8 @@ def product(m: Model, n: Model, identify_diagonal: bool = False) -> Model:
             pairs[name] = (a, b)
     grid = Signature(tuple(pairs))
     row_masks = [((1 << width) - 1) << (i * width) for i in range(len(m.sig))]
-    col_masks = [mask_of(i * width + j for i in range(len(m.sig))) for j in range(width)]
+    unit = sum(1 << (i * width) for i in range(len(m.sig)))  # bit 0 of every row
+    col_masks = [unit << j for j in range(width)]
     result = union_model(map_atoms(m, row_masks, grid), map_atoms(n, col_masks, grid))
     if not identify_diagonal:
         return result
@@ -338,8 +339,7 @@ def embed_in_free(model: Model) -> tuple[Signature, tuple[Term, ...]]:
     generated by the returned terms reproduces the model.
     """
     free_sig = Signature(tuple([f"z{k + 1}" for k in range(len(model.masks))]))
-    index = AtomColumns(model.masks, len(model.sig))
-    return free_sig, tuple([Term(column) for column in index.columns])
+    return free_sig, tuple([Term(column) for column in _transpose(model.masks, len(model.sig))])
 
 
 def restriction_homomorphism_exists(model: Model, keep: str | Iterable[str]) -> bool:

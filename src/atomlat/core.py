@@ -36,11 +36,9 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
+def _declarable(name: object) -> bool:
+    """Whether ``name`` may name a constant: see :class:`Signature`."""
+    return isinstance(name, str) and name.split() == [name] and "#" not in name and name != "<="
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,9 @@ class Signature:
 
     A name is a non-empty string with no whitespace, no ``#`` (the comment
     marker of scripts) and not ``<=`` (the sentence separator), whatever the
-    source: script, JSON or library call.
+    source: script, JSON or library call. A lookup holds a name it cannot
+    find to the same rule, so a name that no signature may declare is
+    reported as bad, not as unknown.
     """
 
     names: tuple[str, ...]
@@ -58,7 +58,7 @@ class Signature:
         if not self.names:
             raise EmptySignature("a signature needs at least one constant")
         for name in self.names:
-            if not isinstance(name, str) or name.split() != [name] or "#" in name or name == "<=":
+            if not _declarable(name):
                 raise InvalidConstantName(name)
         if len(set(self.names)) != len(self.names):
             repeated = next(name for name, count in Counter(self.names).items() if count > 1)
@@ -94,8 +94,9 @@ class Signature:
     def mask_of_names(self, names: str | Iterable[str]) -> int:
         """The bitmask of the named constants; a string is split on whitespace.
 
-        An unknown name raises :class:`UnknownConstant`, a non-string
-        :class:`InvalidConstantName`.
+        A name that no signature may declare raises
+        :class:`InvalidConstantName`, any other unknown name
+        :class:`UnknownConstant`.
 
         >>> sig = Signature.of("a b c")
         >>> sig.mask_of_names("c a") == sig.mask_of_names(["a", "c"]) == 0b101
@@ -104,6 +105,10 @@ class Signature:
         Traceback (most recent call last):
             ...
         atomlat.errors.UnknownConstant: constant 'ab' is not in the signature
+        >>> sig.mask_of_names("a <= b")
+        Traceback (most recent call last):
+            ...
+        atomlat.errors.InvalidConstantName: bad constant name '<='
         """
         if isinstance(names, str):
             names = names.split()
@@ -113,7 +118,7 @@ class Signature:
             try:
                 mask |= bits[name]
             except (KeyError, TypeError):
-                if not isinstance(name, str):
+                if not _declarable(name):
                     raise InvalidConstantName(name) from None
                 raise UnknownConstant(name) from None
         return mask

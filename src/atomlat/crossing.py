@@ -7,7 +7,7 @@ the freest model of those sentences. A negative sentence is consistent with
 them exactly when it fails in that model, which is how the deny verdicts of
 :func:`atomlat.script.run_script` are decided. :func:`cross_runs` is the
 one crossing loop: it crosses runs of duples on one chain, one run per
-``show`` of a script, and :func:`cross_positives` is its one-run case. On a
+``show`` of a script, and :func:`freest_model` is its one-run case. On a
 reduced atom set, :func:`_replace` yields the reduced result of one step
 without building the whole union grid. The reference step is the one
 fold :func:`_cross`, which crosses a sequence of ``(left, right)`` mask
@@ -131,31 +131,6 @@ def _replace(index: AtomColumns, moved: int, below: int):
     index.drop(redundant)
 
 
-def cross_positives(
-    model: Model, positives: Iterable[Duple], reduce_policy: str = "after_each"
-) -> Model:
-    """Cross the positive duples into ``model`` under a reduce policy.
-
-    This is one run of :func:`cross_runs`, the one crossing chain, so every
-    duple is checked against the signature before the first crossing. Under
-    ``after_each`` the duples are crossed in :func:`_growth` order; the
-    order cannot change the result, since crossing adds the duples to
-    the theory of the start, whatever their order, and a semilattice has
-    one non-redundant atomization. Under ``never`` every step is the
-    reference step :func:`_cross` and redundant atoms stay, so the atom set
-    depends on the order, and the duples are crossed in the given order.
-    With no duples the start is returned unchanged.
-
-    >>> sig = Signature.of("a b c")
-    >>> a_b, b_c, c_a = (Duple(sig.term(x), sig.term(y)) for x, y in ("ab", "bc", "ca"))
-    >>> cross_positives(freest_model(sig), [a_b, b_c, c_a])
-    Model<a b c>[a b c]
-    >>> cross_positives(freest_model(sig), [c_a, b_c, a_b])
-    Model<a b c>[a b c]
-    """
-    return next(cross_runs(model, [positives], reduce_policy))
-
-
 def cross_runs(
     model: Model, runs: Iterable[Iterable[Duple]], reduce_policy: str = "after_each"
 ) -> Iterator[Model]:
@@ -231,15 +206,21 @@ def freest_model(
     positives: tuple[Duple, ...] | list[Duple] = (),
     reduce_policy: str = "after_each",
 ) -> Model:
-    """Cross the positive duples into the singleton-atom model.
+    """The freest model of the positive duples: one :func:`cross_runs` run from the singletons.
 
-    The result atomizes the freest model of the given sentences. The policy
-    only controls when redundant atoms are dropped; the semilattice itself is
-    independent of it, and of the duple order. Under ``after_each`` the
-    atoms are too, since the reduced atomization is unique, so the duples
-    are crossed in :func:`_growth` order (see :func:`cross_runs`); under
+    The policy only controls when redundant atoms are dropped; the
+    semilattice itself is independent of it, and of the duple order. Under
+    ``after_each`` the atoms are too, since the reduced atomization is
+    unique, so the duples are crossed in :func:`_growth` order; under
     ``never`` they are crossed in the given order.
+
+    >>> sig = Signature.of("a b c")
+    >>> a_b, b_c, c_a = (Duple(sig.term(x), sig.term(y)) for x, y in ("ab", "bc", "ca"))
+    >>> freest_model(sig, [a_b, b_c, c_a])
+    Model<a b c>[a b c]
+    >>> freest_model(sig, [c_a, b_c, a_b])
+    Model<a b c>[a b c]
     """
     singletons = Model(sig, tuple([1 << i for i in range(len(sig))]))
-    return cross_positives(singletons, positives, reduce_policy)
+    return next(cross_runs(singletons, [positives], reduce_policy))
 

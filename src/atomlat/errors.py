@@ -27,7 +27,8 @@ class InvalidConstantName(AtomlatError):
     """Constant names are non-empty strings without whitespace or ``#``, and not ``<=``.
 
     ``#`` opens a comment in scripts and ``<=`` separates the two terms of a
-    sentence. The rule is the same for scripts, JSON and library calls.
+    sentence. The rule is the same for scripts, JSON and library calls, and
+    for a name that is declared and one that is looked up.
 
     >>> InvalidConstantName(list(range(10**5)))
     InvalidConstantName('bad constant name [0, 1, 2, 3, 4, 5, ...]')

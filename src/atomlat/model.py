@@ -421,19 +421,14 @@ def _check_cap(sig: Signature, cap: int):
         )
 
 
-def segment_signatures(model: Model) -> list[int]:
-    """For every term mask, a bitmask over atom positions of its segment.
+def segment_signatures(model: Model, terms: Iterable[int]) -> list[int]:
+    """The segment of each term mask in ``terms``, in the order given.
 
-    Index 0 is unused (terms are non-empty). Built in one pass per term using
-    linearity from the per-constant columns of :class:`AtomColumns`: the
-    segment of s + t is the union of the segments.
+    A segment is the bitmask over atom positions of the atoms below the
+    term, read off the per-constant columns by :meth:`AtomColumns.meeting`.
     """
-    per_constant = AtomColumns(model.masks, len(model.sig)).columns
-    out = [0] * (model.sig.full_mask + 1)
-    for t in range(1, model.sig.full_mask + 1):
-        low = t & -t
-        out[t] = out[t ^ low] | per_constant[low.bit_length() - 1]
-    return out
+    index = AtomColumns(model.masks, len(model.sig))
+    return [index.meeting(term) for term in terms]
 
 
 def enumerate_elements(model: Model, cap: int = ENUM_CAP_DEFAULT) -> tuple[ElementClass, ...]:

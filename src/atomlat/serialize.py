@@ -115,7 +115,8 @@ def model_from_json(text: str) -> Model:
     return model_from_dict(_loads(text))
 
 
-def rename_map_from_dict(doc) -> RenameMap:
+def rename_map_from_json(text: str) -> RenameMap:
+    doc = _loads(text)
     if not isinstance(doc, dict) or set(doc) != {"map", "targets"}:
         raise ValueError("rename document needs exactly the keys 'map' and 'targets'")
     mapping, targets = doc["map"], doc["targets"]
@@ -123,10 +124,6 @@ def rename_map_from_dict(doc) -> RenameMap:
             and all(isinstance(names, list) for names in mapping.values())):
         raise ValueError("rename document needs a map to name lists and a list of target names")
     return RenameMap.of(mapping, targets)
-
-
-def rename_map_from_json(text: str) -> RenameMap:
-    return rename_map_from_dict(_loads(text))
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
@@ -165,20 +162,21 @@ def model_to_dot(model: Model, cap: int = ENUM_CAP_DEFAULT) -> str:
     Nodes are element classes labelled by their representative term; edges
     are covering relations, read off the rows of the model's theory. Atoms
     appear as an ``atoms`` attribute listing the lower atomic segment of
-    each node, not as nodes of their own.
+    each node, not as nodes of their own; the segments are read off the
+    atom columns for the class representatives only.
     """
     theory = enumerate_theory(model, cap)
     classes = theory.elements()
     position = {cls.representative.mask: x for x, cls in enumerate(classes)}
     reps = sum(1 << rep for rep in position)
-    segs = segment_signatures(model)
+    segs = segment_signatures(model, position)
     label = dict(canonical_terms(model.sig))
     labels = [_dot_escape(label[rep]) for rep in position]
     names_of = model.sig.names_of
     atom_labels = ["{" + " ".join(names_of(mask)) + "}" for mask in model.masks]
     nodes, edges = [], []
     for x, rep in enumerate(position):
-        segment = ", ".join(atom_labels[k] for k in bit_indices(segs[rep]))
+        segment = ", ".join(atom_labels[k] for k in bit_indices(segs[x]))
         nodes.append(f'  "{labels[x]}" [atoms="{_dot_escape(segment)}"];')
         # the classes strictly above x, less those above another one of them
         above = theory.rows[rep] & reps & ~(1 << rep)

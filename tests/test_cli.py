@@ -7,11 +7,14 @@ import shlex
 import pytest
 
 import atomlat.cli
+from atomlat.algebra import RenameMap, rename
 from atomlat.cli import _build_parser, main
 from atomlat.core import Signature
-from atomlat.errors import UnknownConstant
+from atomlat.crossing import freest_model
+from atomlat.errors import InvalidConstantName, ParseError, UnknownConstant, UnknownTargetConstant
 from atomlat.oracle import closure_oracle
 from atomlat.script import format_duple, parse_script, run_script
+from atomlat.serialize import model_from_dict, model_to_dot
 
 from conftest import ODD_NAMES, check_report, random_duple, random_model, seeded
 
@@ -410,6 +413,49 @@ def test_unknown_constant_in_query_exits_two(tmp_path, capsys, argv, term):
     assert capsys.readouterr() == ("", f"error: {info.value}\n")
 
 
+@pytest.mark.parametrize("name, script_line, term", [
+    ("<=", "atom a <= b", "a <= b"),
+    # '#' opens a comment in a script, so "atom a#b" declares the atom a
+    ("a#b", None, "a#b"),
+    # a string is split on whitespace, so only a list element is "a b"
+    ("a b", None, None),
+], ids=["separator", "hash", "space"])
+def test_names_no_signature_can_declare_are_bad_on_every_path(
+        tmp_path, capsys, name, script_line, term):
+    # a lookup holds the name it cannot find to the rule of Signature, so a
+    # name that no signature may declare is bad, not unknown, on every path
+    sig = Signature.of("a b")
+    bad = f"bad constant name {name!r}"
+    model = freest_model(sig)
+    calls = [
+        lambda: sig.mask_of_names(["a", name]),
+        lambda: sig.term(["a", name]),
+        lambda: sig.atom([name]),
+        lambda: model_from_dict({"constants": ["a", "b"], "atoms": [["a"], ["b", name]]}),
+        lambda: rename(model, RenameMap.of({"a": ["a"], "b": ["b"], name: []}, "a b")),
+    ]
+    if term is not None:
+        calls += [lambda: sig.mask_of_names(term), lambda: sig.term(term), lambda: sig.atom(term)]
+    for call in calls:
+        with pytest.raises(InvalidConstantName) as info:
+            call()
+        assert (str(info.value), info.value.name) == (bad, name)
+    with pytest.raises(UnknownTargetConstant) as info:
+        RenameMap.of({"a": ["a", name], "b": []}, "a b")
+    assert str(info.value) == f"target of 'a': {bad}"
+    if script_line is not None:
+        with pytest.raises(ParseError) as info:
+            parse_script(f"constants a b\n{script_line}\n")
+        assert str(info.value) == f"line 2: {bad}"
+    m = write(tmp_path, "m.json", JOIN_M)
+    argvs = [["restrict", m, "--keep", "a", name]]
+    if term is not None:
+        argvs.append(["quotient", m, "a", term])
+    for argv in argvs:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}\n")
+
+
 @pytest.mark.parametrize("doc", [
     {"constants": ["a", 1], "atoms": [["a"]]},
     {"constants": ["a", "b"], "atoms": "ab"},
@@ -543,3 +589,17 @@ def test_readme_commands_and_flags_exist_in_the_parser():
         flags = [word.strip("[]") for word in rest]
         unknown = [flag for flag in flags if flag[:1] == "-" != flag and flag not in options]
         assert unknown == [], command
+
+
+def readme_block(text, language):
+    """The body of README's one fenced block in ``language``."""
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_and_dot_blocks_show_what_the_code_gives(capsys):
+    text = README.read_text(encoding="utf-8")
+    exec(readme_block(text, "python"), {})
+    assert capsys.readouterr().out == (
+        "[('a',), ('a', 'b'), ('a', 'b', 'e'), ('b', 'd', 'e'), ('c',), ('c', 'd', 'e'), ('d',)]\n"
+    )
+    assert readme_block(text, "dot") == model_to_dot(freest_model(Signature.of("a b")))

@@ -61,12 +61,13 @@ def test_mask_of_names_splits_strings_on_whitespace_only():
     assert ab.mask_of_names("a b") == ab.mask_of_names(["a", "b"]) == 0b11
     assert ab.mask_of_names("") == 0
     # a string is split on whitespace, never into characters, and a list
-    # element is a name as it stands
-    for names, unknown in [("ab", "ab"), (["a b"], "a b")]:
-        with pytest.raises(UnknownConstant) as info:
+    # element is a name as it stands, here one that no signature may declare
+    for names, error, name in [("ab", UnknownConstant, "ab"),
+                               (["a b"], InvalidConstantName, "a b")]:
+        with pytest.raises(error) as info:
             ab.mask_of_names(names)
-        assert info.value.name == unknown
-    with pytest.raises(UnknownConstant):
+        assert info.value.name == name
+    with pytest.raises(InvalidConstantName):
         ab.index_of("a b")
 
 

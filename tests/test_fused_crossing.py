@@ -8,7 +8,7 @@
   whole union grid;
 - the live ``AtomColumns`` of a chain against a fresh index of its atoms;
 - the column-bitset ``reduce`` against the pairwise ``is_redundant`` definition;
-- ``cross_positives``, ``cross_runs``, ``run_script`` and ``freest_model``
+- one-run and many-run ``cross_runs``, ``run_script`` and ``freest_model``
   under ``after_each`` against a step-by-step loop of ``full_crossing`` and
   ``reduce``, one-duple runs and shows included, and ``run_script`` under
   ``never`` against the same loop without ``reduce``;
@@ -22,7 +22,7 @@ import pytest
 
 from atomlat import crossing
 from atomlat.core import Atom, Duple, Signature, Term
-from atomlat.crossing import cross_positives, cross_runs, freest_model, full_crossing
+from atomlat.crossing import cross_runs, freest_model, full_crossing
 from atomlat.errors import SignatureMismatch
 from atomlat.model import AtomColumns, Model, holds, is_redundant, new_model, reduce
 from atomlat.script import Assertion, ShowDirective, parse_script, run_script
@@ -233,7 +233,7 @@ def test_chain_matches_step_by_step_reference_at_every_step(start_kind, monkeypa
             held += holds(expected[-1], r)
             expected.append(reduce(full_crossing(expected[-1], r)))
         mismatches += seen != expected
-        assert seen[-1] == cross_positives(start, duples)
+        assert seen[-1] == next(cross_runs(start, [duples]))
         assert all(valid(m) for m in seen)
     assert mismatches == 0
     assert held >= 500
@@ -252,14 +252,14 @@ def test_scheduled_chain_matches_script_order_and_permutations(start_kind):
         start = random_start(rng, n, start_kind)
         duples = random_chain(rng, n, rng.randint(2 * n, 5 * n))
         reordered += sorted(duples, key=crossing._growth) != duples
-        scheduled = cross_positives(start, duples)
+        scheduled = next(cross_runs(start, [duples]))
         assert valid(scheduled)
         in_order = start
         for r in duples:
             in_order = reduce(full_crossing(in_order, r))
-        assert scheduled == in_order == reduce(cross_positives(start, duples, "never"))
+        assert scheduled == in_order == reduce(next(cross_runs(start, [duples], "never")))
         for _ in range(3):
-            assert cross_positives(start, rng.sample(duples, len(duples))) == scheduled
+            assert next(cross_runs(start, [rng.sample(duples, len(duples))])) == scheduled
     assert reordered >= 55
 
 
@@ -296,7 +296,7 @@ def test_sorted_chain_splits_each_later_duple_once(monkeypatch):
         models = list(cross_runs(start, runs))
         assert referenced == [sorted(runs[0], key=crossing._growth)[0]]
         assert splits == len(duples) - 1
-        assert models[-1] == cross_positives(start, duples)
+        assert models[-1] == next(cross_runs(start, [duples]))
 
 
 @pytest.mark.parametrize("policy", ["after_each", "never", "runs"])
@@ -313,7 +313,7 @@ def test_chain_leaving_the_signature_fails_before_any_crossing(policy, monkeypat
         if policy == "runs":
             seen.extend(cross_runs(freest_model(sig), [(r,) for r in duples]))
         else:
-            cross_positives(freest_model(sig), duples, policy)
+            next(cross_runs(freest_model(sig), [duples], policy))
     assert seen == []
 
 

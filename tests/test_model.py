@@ -355,14 +355,17 @@ def sum_masks(atoms):
 
 
 def test_segment_signatures_on_hand_built_models():
+    # one segment per requested term mask, in the order asked, repeats included
     rng = seeded(18)
     for _ in range(300):
         n = rng.randint(1, 7)
         m = hand_built(rng, n, 10)
-        segs = segment_signatures(m)
-        assert len(segs) == 1 << n
-        for t in range(1, 1 << n):
-            assert segs[t] == sum(1 << k for k, x in enumerate(m.atoms) if x.mask & t)
+        terms = list(range(1, 1 << n)) + rng.choices(range(1, 1 << n), k=rng.randint(1, 5))
+        rng.shuffle(terms)
+        segs = segment_signatures(m, terms)
+        assert len(segs) == len(terms)
+        for t, seg in zip(terms, segs):
+            assert seg == sum(1 << k for k, x in enumerate(m.atoms) if x.mask & t)
 
 
 def test_enumerate_elements_free_pair():
