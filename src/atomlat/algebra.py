@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence
 from .core import Atom, Signature, Term, bit_indices, canonical_masks, zero_atom
 from .errors import (
     EmptyRestrictionSet,
-    InvalidConstantName,
     NameCollision,
     RenameMapIncomplete,
     TrivialModel,
@@ -50,7 +49,11 @@ class RenameMap:
     """Maps each source constant name to a set of target constant names.
 
     An empty target set deletes the constant from every atom; an atom whose
-    upper segment maps to the empty set is annihilated.
+    upper segment maps to the empty set is annihilated. A target name that
+    the target signature does not declare raises
+    :class:`~atomlat.errors.UnknownTargetConstant`; one that no signature
+    may declare raises :class:`~atomlat.errors.InvalidConstantName`, as
+    every other name lookup does.
     """
 
     target: Signature
@@ -67,7 +70,7 @@ class RenameMap:
         for source, names in mapping.items():
             try:
                 fixed[source] = target.names_of(target.mask_of_names(names))
-            except (UnknownConstant, InvalidConstantName) as exc:
+            except UnknownConstant as exc:
                 raise UnknownTargetConstant(f"target of {source!r}: {exc}") from None
         return cls(target, fixed)
 

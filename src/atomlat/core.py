@@ -263,7 +263,9 @@ def canonical_terms(sig: Signature) -> Iterator[tuple[int, str]]:
     The order is the preorder of the subset tree: for each constant i in
     turn, the term {i}, then i joined to each term of constants above i.
     The walk is built from the last constant back, each label from a
-    shorter one plus one name, with no :class:`Term`, key or sort.
+    shorter one plus one name, with no :class:`Term`, key or sort. It
+    orders every listing of terms: the rows of a theory, the element
+    classes, the ``show`` sections of a script and the DOT nodes.
 
     >>> sig = Signature.of("a b c")
     >>> list(canonical_terms(sig))

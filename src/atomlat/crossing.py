@@ -101,7 +101,11 @@ def _minimal(masks: Iterable[int]) -> list[int]:
 
 
 def _split(index: AtomColumns, left: int, right: int) -> tuple[int, int]:
-    """The positions of the atoms that ``left <= right`` moves, and of those below ``right``."""
+    """The positions of the atoms that ``left <= right`` moves, and of those below ``right``.
+
+    Both are ORs of the columns of the constants of the two terms, so a
+    duple that already holds costs a few bitset operations and no mask.
+    """
     below = index.meeting(right)
     return index.meeting(left) & ~below, below
 

@@ -50,8 +50,10 @@ class Model:
     checks: the engine's own steps (crossing, :func:`reduce`, the singletons
     of a freest model, the side-by-side atoms of a join) keep these facts by
     construction, and atoms from anywhere else go through :func:`new_model`.
-    Two models are equal exactly when they have the same signature and the
-    same atoms.
+    On a hand-built model that breaks these facts the results of the
+    operations are undefined; :func:`atomlat.oracle.axiom_check` reports
+    which of them fail. Two models are equal exactly when they have the same
+    signature and the same atoms.
     """
 
     sig: Signature

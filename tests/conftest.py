@@ -30,8 +30,17 @@ def mk(names, *atom_texts):
     return Model(sig, tuple(atom.mask for atom in atoms))
 
 
+def atom_names(model):
+    """The atoms of the model as tuples of constant names, in a set."""
+    return {atom.names(model.sig) for atom in model.atoms}
+
+
 def duple(sig, left, right):
     return Duple(sig.term(left), sig.term(right))
+
+
+def sig_of_size(n):
+    return Signature(tuple(f"c{i}" for i in range(n)))
 
 
 def random_term(rng, n, max_side=3):
@@ -43,6 +52,36 @@ def random_term(rng, n, max_side=3):
 
 def random_duple(rng, n, max_side=3):
     return Duple(random_term(rng, n, max_side), random_term(rng, n, max_side))
+
+
+def covered_masks(rng, n, count):
+    masks = {random_term(rng, n, rng.randint(1, n)).mask for _ in range(count)}
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    masks.update(1 << i for i in range(n) if not covered >> i & 1)
+    return masks
+
+
+def random_script(rng, n, asserts, declared):
+    names = [f"c{i}" for i in range(n)]
+
+    def text(mask):
+        return " ".join(names[i] for i in range(n) if mask >> i & 1)
+
+    lines = ["constants " + " ".join(names)]
+    if declared:
+        # Unions of declared atoms make the start unreduced.
+        base = sorted(covered_masks(rng, n, n))
+        unions = {rng.choice(base) | rng.choice(base) for _ in range(max(1, n // 3))}
+        lines += [f"atom {text(mask)}" for mask in sorted(set(base) | unions)]
+    lines.append("show atoms")
+    for _ in range(asserts):
+        r = random_duple(rng, n)
+        lines.append(f"assert {text(r.left.mask)} <= {text(r.right.mask)}")
+        if rng.random() < 0.2:
+            lines.append("show atoms")
+    return parse_script("\n".join(lines) + "\n")
 
 
 def random_model(rng, names, max_atoms=6, ensure_singleton=False):

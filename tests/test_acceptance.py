@@ -13,7 +13,7 @@ from atomlat.crossing import freest_model, full_crossing
 from atomlat.model import enumerate_elements, enumerate_theory, new_model, reduce
 from atomlat.oracle import closure_oracle, congruence_oracle
 
-from conftest import duple, mk, random_duple, random_model, seeded
+from conftest import atom_names, duple, mk, random_duple, random_model, seeded
 
 
 @contextmanager
@@ -24,10 +24,6 @@ def criterion(label):
         print(f"[acceptance] {label}: FAIL")
         raise
     print(f"[acceptance] {label}: PASS")
-
-
-def names_of(model):
-    return {atom.names(model.sig) for atom in model.atoms}
 
 
 def timed(bound_s, fn):
@@ -48,11 +44,11 @@ def test_criterion_01_golden_crossing():
             return full_crossing(m, r), reduce(full_crossing(m, r))
 
         crossed, reduced = timed(0.001, run)
-        assert names_of(crossed) == {
+        assert atom_names(crossed) == {
             ("a",), ("a", "b"), ("c", "d", "e"), ("c",), ("d",),
             ("a", "b", "e"), ("b", "c", "d", "e"), ("b", "d", "e"),
         }
-        assert names_of(reduced) == {
+        assert atom_names(reduced) == {
             ("a",), ("a", "b"), ("c", "d", "e"), ("c",), ("d",),
             ("a", "b", "e"), ("b", "d", "e"),
         }
@@ -66,7 +62,7 @@ def test_criterion_02_golden_join():
         m = mk("a b c", "c", "a b c")
         n = mk("c d e", "c d e")
         joined = reduce(timed(0.010, lambda: join(m, n)))
-        assert names_of(joined) == {("c", "d", "e"), ("a", "b", "c", "d", "e")}
+        assert atom_names(joined) == {("c", "d", "e"), ("a", "b", "c", "d", "e")}
 
         sig = joined.sig
         th = enumerate_theory(joined)
@@ -98,7 +94,7 @@ def test_criterion_03_golden_subalgebra():
 
         by_rename, by_crossing = timed(0.010, run)
         expected = {("g1", "g3"), ("g2", "g4"), ("g3", "g4")}
-        assert names_of(by_rename) == expected
+        assert atom_names(by_rename) == expected
         assert by_rename == by_crossing
 
 

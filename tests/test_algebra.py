@@ -37,11 +37,16 @@ from atomlat.model import (
 )
 from atomlat.oracle import closure_oracle
 
-from conftest import duple, mk, random_duple, random_model, random_term, seeded, valid
-
-
-def atom_names(model):
-    return {atom.names(model.sig) for atom in model.atoms}
+from conftest import (
+    atom_names,
+    duple,
+    mk,
+    random_duple,
+    random_model,
+    random_term,
+    seeded,
+    valid,
+)
 
 
 # ---------------------------------------------------------------- restrict

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import atomlat
@@ -58,6 +59,44 @@ def test_names_the_benchmark_uses_resolve():
     assert len(imported) > 1
     missing += [f"{module}.{name}" for module, name in imported if not resolves(module, name)]
     assert missing == []
+
+
+MODULES = {path.stem for path in (ROOT / "src" / "atomlat").glob("[!_]*.py")}
+
+
+def readme_names():
+    """The dotted names in README's inline code that start with ``atomlat``,
+    one of its modules or one of its public names, such as
+    ``atomlat.cli.main``, ``core.canonical_terms`` or ``Signature.atom``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    firsts = {"atomlat", *MODULES, *atomlat.__all__}
+    return sorted({
+        name for span in spans for name in re.findall(r"(?<![\w.])\w+(?:\.\w+)+", span)
+        if name.partition(".")[0] in firsts
+    })
+
+
+def resolves_dotted(name):
+    """Whether the dotted name is an attribute path from ``atomlat`` or one of its modules."""
+    found = atomlat
+    for part in name.removeprefix("atomlat.").split("."):
+        if found is atomlat and part in MODULES:
+            found = importlib.import_module(f"atomlat.{part}")
+        elif hasattr(found, part):
+            found = getattr(found, part)
+        else:
+            return False
+    return True
+
+
+def test_names_the_readme_uses_resolve_and_are_public():
+    # README describes behaviour a caller relies on, so every package name
+    # it quotes is one a caller can reach, and none is private
+    names = readme_names()
+    assert "atomlat.cli.main" in names
+    assert [name for name in names if not resolves_dotted(name)] == []
+    assert [name for name in names if any(part.startswith("_") for part in name.split("."))] == []
 
 
 def test_package_parses_as_python_3_10():

@@ -8,6 +8,7 @@ from atomlat.algebra import RenameMap, map_atoms, rename
 from atomlat.core import Atom, Duple, Signature, Term, pinning, zero_atom
 from atomlat.errors import CapExceeded, CoverageRepairWarning, SignatureMismatch
 from atomlat.model import (
+    AtomColumns,
     Model,
     enumerate_elements,
     enumerate_theory,
@@ -25,13 +26,17 @@ from atomlat.script import format_duple, parse_script, run_script
 from atomlat.serialize import model_from_json
 
 from conftest import (
+    atom_names,
+    covered_masks,
     discriminant,
     elements_by_segments,
     lower_atomic_segment,
     mk,
     random_duple,
     random_model,
+    random_term,
     seeded,
+    sig_of_size,
 )
 
 ABCDE = Signature.of("a b c d e")
@@ -39,10 +44,6 @@ ABCDE = Signature.of("a b c d e")
 # The running five-constant example used across the golden tests:
 # atoms a | ab | cde | be | c | d.
 CROSS_SOURCE = mk("a b c d e", "a", "a b", "c d e", "b e", "c", "d")
-
-
-def atom_names(model):
-    return {atom.names(model.sig) for atom in model.atoms}
 
 
 def test_new_model_deduplicates():
@@ -531,3 +532,56 @@ def test_model_json_shape():
     doc = model_to_dict(mk("a b", "a", "a b"))
     assert doc == {"constants": ["a", "b"], "atoms": [["a"], ["a", "b"]]}
     assert json.dumps(doc)
+
+
+def reference_reduce(model):
+    return Model(model.sig, tuple(a.mask for a in model.atoms if not is_redundant(model, a)))
+
+
+def test_reduce_matches_pairwise_definition_on_random_unreduced_models():
+    rng = seeded(2026)
+    for _ in range(1000):
+        n = rng.randint(1, 10)
+        sig = sig_of_size(n)
+        masks = sorted(covered_masks(rng, n, rng.randint(1, 4 * n)))
+        m = new_model(sig, map(Atom, masks))
+        assert reduce(m) == reference_reduce(m)
+        # Models built directly may repeat an atom; a copy is no witness.
+        doubled = Model(sig, m.masks + m.masks[: rng.randint(0, len(m.masks))])
+        assert reduce(doubled) == reference_reduce(doubled)
+
+
+def test_live_columns_match_a_fresh_index():
+    rng = seeded(2030)
+    compacted = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        live = sorted(covered_masks(rng, n, rng.randint(1, 3 * n)))
+        index = AtomColumns(live, n)
+        for _ in range(rng.randint(1, 12)):
+            if live and rng.random() < 0.5:
+                gone = rng.sample(live, rng.randint(1, len(live)))
+                positions = 0
+                for mask in gone:
+                    positions |= 1 << index.position[mask]
+                slots = len(index.masks)
+                index.drop(positions)
+                compacted += len(index.masks) < slots
+                live = [mask for mask in live if mask not in gone]
+            else:
+                fresh = list(covered_masks(rng, n, rng.randint(1, n)) - set(live))
+                index.extend(fresh)
+                live += fresh
+            fresh_index = AtomColumns(live, n)
+            assert sorted(index.masks_at(index.live)) == sorted(live)
+            assert {m: index.masks[p] for m, p in index.position.items()} == {m: m for m in live}
+            for term in (random_term(rng, n).mask for _ in range(4)):
+                assert sorted(index.masks_at(index.meeting(term))) == sorted(
+                    fresh_index.masks_at(fresh_index.meeting(term))
+                )
+            probes = live + [random_term(rng, n, n).mask for _ in range(4)]
+            assert [index.redundant(x) for x in probes] == [
+                fresh_index.redundant(x) for x in probes
+            ]
+    assert compacted >= 100
+

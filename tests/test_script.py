@@ -6,8 +6,10 @@ import pytest
 import atomlat.script
 from atomlat.algebra import join
 from atomlat.core import Atom, Signature, Term
+from atomlat.crossing import full_crossing
 from atomlat.errors import InvalidConstantName, ParseError, UndeclaredConstant, UnknownConstant
 from atomlat.script import (
+    Assertion,
     AtomDecl,
     Denial,
     ShowDirective,
@@ -16,10 +18,10 @@ from atomlat.script import (
     parse_script,
     run_script,
 )
-from atomlat.model import enumerate_theory, new_model
+from atomlat.model import enumerate_theory, new_model, reduce
 from atomlat.serialize import model_from_dict, model_from_json
 
-from conftest import random_model, seeded
+from conftest import random_model, random_script, seeded
 
 CROSS_SCRIPT = """\
 constants a b c d e
@@ -341,3 +343,52 @@ def test_show_atoms_output_is_reparseable():
     )
     script = parse_script(body)
     assert [a.names(script.sig) for a in script.atoms()] == [("a", "b"), ("b",)]
+
+
+def reference_run(script, reduce_policy="after_each"):
+    """The plain loop in script order: full crossing on every assert, then
+    reduce under ``after_each``."""
+    lines = []
+    declared = script.atoms()
+    model = new_model(
+        script.sig, declared or (Atom(1 << i) for i in range(len(script.sig)))
+    )
+    for statement in script.statements:
+        if isinstance(statement, Assertion):
+            model = full_crossing(model, statement.duple)
+            if reduce_policy == "after_each":
+                model = reduce(model)
+        elif isinstance(statement, ShowDirective):
+            lines += [f"atom {atom.label(script.sig)}" for atom in model.atoms]
+    return model, lines
+
+
+@pytest.mark.parametrize("declared", [False, True])
+def test_run_script_matches_step_by_step_reference(declared):
+    rng = seeded(2027 + declared)
+    unreduced_starts = 0
+    for i in range(150):
+        n = rng.randint(2, 12)
+        asserts = 0 if i < 10 else rng.randint(1, 3 * n)
+        script = random_script(rng, n, asserts, declared)
+        start = new_model(script.sig, script.atoms()) if declared else None
+        if start is not None and reduce(start) != start:
+            unreduced_starts += 1
+        for policy in ("after_each", "never"):
+            out = io.StringIO()
+            model, _ = run_script(script, policy, emit=out.write)
+            assert (model, out.getvalue().splitlines()) == reference_run(script, policy)
+    assert unreduced_starts >= (100 if declared else 0)
+
+
+def test_unreduced_start_is_kept_until_the_first_assert():
+    script = parse_script(
+        "constants a b c\natom a\natom b\natom a b\natom c\nshow atoms\n"
+    )
+    out = io.StringIO()
+    model, _ = run_script(script, emit=out.write)
+    lines = out.getvalue().splitlines()
+    assert lines == ["atom a", "atom a b", "atom b", "atom c"]
+    assert [a.label(script.sig) for a in model.atoms] == ["a", "a b", "b", "c"]
+    assert (model, lines) == reference_run(script)
+

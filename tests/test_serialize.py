@@ -6,7 +6,7 @@ import pytest
 from atomlat.algebra import subdirect_decomposition, embed_in_free
 from atomlat.core import Duple, Signature, Term, canonical_key
 from atomlat.crossing import freest_model
-from atomlat.errors import CapExceeded, InvalidConstantName, UnknownTargetConstant
+from atomlat.errors import CapExceeded, InvalidConstantName
 from atomlat.model import holds, new_model
 from atomlat.serialize import (
     decomposition_to_dict,
@@ -166,7 +166,7 @@ def test_rename_map_document():
     ]:
         with pytest.raises(ValueError):
             rename_map_from_json(text)
-    with pytest.raises(UnknownTargetConstant):
+    with pytest.raises(InvalidConstantName):
         rename_map_from_json('{"map": {"a": [["x"]]}, "targets": ["x"]}')
 
 
